@@ -1,13 +1,10 @@
 // Table 7 reproduction: computational efficiency (pairs/second) of every
 // model in training and inference on a fixed workload, plus google-benchmark
-// microbenchmarks of the per-pair inference forward pass and a thread-sweep
-// of batched inference (pairs scored across the global thread pool).
+// microbenchmarks of the per-pair inference forward pass.
 //
 // Flags (consumed before google-benchmark's own):
-//   --threads N   parallel point of the thread sweep (default:
-//                 EMBA_NUM_THREADS or hardware_concurrency)
-//   --json PATH   where the thread-sweep JSON is written
-//                 (default: table7_threads.json)
+//   --serve-obs PORT   start the observability server on PORT, so /metrics
+//                      can be scraped while the bench runs
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,12 +15,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/harness.h"
-#include "core/scoring.h"
 #include "tensor/arena.h"
-#include "tensor/int8.h"
 #include "util/observability.h"
-#include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -94,135 +87,17 @@ Throughput MeasureThroughput(const std::string& model_name) {
   return {result.train_pairs_per_second, result.inference_pairs_per_second};
 }
 
-// Batched inference pairs/second under the current global thread count.
-double MeasureBatchedInference(core::EmModel* model,
-                               const std::vector<core::PairSample>& samples,
-                               double min_seconds) {
-  model->SetTraining(false);
-  // Warm-up pass (thread pool spin-up, cache warm-up).
-  core::BatchMatchProbabilities(*model, samples);
-  Stopwatch timer;
-  size_t scored = 0;
-  do {
-    auto probs = core::BatchMatchProbabilities(*model, samples);
-    benchmark::DoNotOptimize(probs.data());
-    scored += probs.size();
-  } while (timer.ElapsedSeconds() < min_seconds);
-  return static_cast<double>(scored) / timer.ElapsedSeconds();
-}
-
-struct ThreadSweepPoint {
-  int threads = 1;
-  double pairs_per_second = 0.0;       ///< fp32 inference path
-  double int8_pairs_per_second = 0.0;  ///< EMBA_INT8=on quantized path
-};
-
-// Measures batched "emba" inference at 1 thread and at `threads`, on both
-// the fp32 and the int8 quantized path, prints the speedups, and records
-// everything in a JSON file the harness (and CI) can scrape.
-void RunThreadSweep(int threads, const std::string& json_path) {
-  auto model = MakeModel("emba");
-  const auto& dataset = DatasetFor("emba");
-  const double min_seconds = g_scale.full ? 5.0 : 1.5;
-
-  std::vector<ThreadSweepPoint> points;
-  std::vector<int> axis = {1};
-  if (threads > 1) axis.push_back(threads);
-  for (int t : axis) {
-    SetGlobalThreads(t);
-    ThreadSweepPoint point;
-    point.threads = t;
-    int8::ForceModeForTest(int8::Mode::kOff);
-    point.pairs_per_second =
-        MeasureBatchedInference(model.get(), dataset.test, min_seconds);
-    int8::ForceModeForTest(int8::Mode::kOn);
-    point.int8_pairs_per_second =
-        MeasureBatchedInference(model.get(), dataset.test, min_seconds);
-    int8::ResetMode();
-    points.push_back(point);
-  }
-  SetGlobalThreads(0);  // restore the default pool
-
-  const double serial = points.front().pairs_per_second;
-  const double parallel = points.back().pairs_per_second;
-  const double speedup = serial > 0.0 ? parallel / serial : 0.0;
-  const double int8_speedup =
-      points.back().pairs_per_second > 0.0
-          ? points.back().int8_pairs_per_second / points.back().pairs_per_second
-          : 0.0;
-
-  std::printf("\n=== batched inference thread sweep (model=emba) ===\n");
-  bench::TablePrinter table(
-      {"Threads", "Pairs/s", "Speedup", "Int8 pairs/s", "Int8/fp32"});
-  for (const auto& point : points) {
-    table.AddRow({std::to_string(point.threads),
-                  FormatFixed(point.pairs_per_second, 1),
-                  FormatFixed(serial > 0.0 ? point.pairs_per_second / serial
-                                           : 0.0, 2),
-                  FormatFixed(point.int8_pairs_per_second, 1),
-                  FormatFixed(point.pairs_per_second > 0.0
-                                  ? point.int8_pairs_per_second /
-                                        point.pairs_per_second
-                                  : 0.0, 2)});
-  }
-  table.Print();
-  std::printf("speedup at %d threads vs serial: %.2fx "
-              "(hardware_concurrency=%d); int8 vs fp32 at %d threads: %.2fx\n",
-              points.back().threads, speedup, DefaultThreadCount(),
-              points.back().threads, int8_speedup);
-
-  FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-    return;
-  }
-  std::fprintf(json,
-               "{\n"
-               "  \"bench\": \"table7_throughput\",\n"
-               "  \"dataset\": \"wdc_computers_medium\",\n"
-               "  \"model\": \"emba\",\n"
-               "  \"threads_axis\": [\n");
-  for (size_t p = 0; p < points.size(); ++p) {
-    std::fprintf(json,
-                 "    {\"threads\": %d, \"inference_pairs_per_second\": "
-                 "%.3f, \"int8_pairs_per_second\": %.3f}%s\n",
-                 points[p].threads, points[p].pairs_per_second,
-                 points[p].int8_pairs_per_second,
-                 p + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(json,
-               "  ],\n"
-               "  \"serial_pairs_per_second\": %.3f,\n"
-               "  \"parallel_pairs_per_second\": %.3f,\n"
-               "  \"parallel_threads\": %d,\n"
-               "  \"speedup\": %.4f,\n"
-               "  \"int8_pairs_per_second\": %.3f,\n"
-               "  \"int8_speedup_vs_fp32\": %.4f\n"
-               "}\n",
-               serial, parallel, points.back().threads, speedup,
-               points.back().int8_pairs_per_second, int8_speedup);
-  std::fclose(json);
-  std::printf("thread-sweep JSON written to %s\n", json_path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   // EMBA_METRICS_OUT / EMBA_TRACE_OUT give per-stage visibility into the
-  // sweep (queue-wait, kernel mix); unset, the hot paths stay uninstrumented.
+  // runs (queue-wait, kernel mix); unset, the hot paths stay uninstrumented.
   InitObservabilityFromEnv();
-  // Consume --threads / --json / --serve-obs before google-benchmark parses
-  // the rest.
-  int sweep_threads = DefaultThreadCount();
-  std::string json_path = "table7_threads.json";
+  // Consume --serve-obs before google-benchmark parses the rest.
   int kept = 1;
   for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc) {
-      sweep_threads = std::max(1, std::atoi(argv[++a]));
-    } else if (std::strcmp(argv[a], "--json") == 0 && a + 1 < argc) {
-      json_path = argv[++a];
-    } else if (std::strcmp(argv[a], "--serve-obs") == 0 && a + 1 < argc) {
-      // Live scraping of a long sweep: curl :PORT/metrics mid-run.
+    if (std::strcmp(argv[a], "--serve-obs") == 0 && a + 1 < argc) {
+      // Live scraping of a long run: curl :PORT/metrics mid-run.
       emba::Status status =
           emba::StartObservabilityServer(std::atoi(argv[++a]));
       if (!status.ok()) {
@@ -267,8 +142,6 @@ int main(int argc, char** argv) {
               emba_ft_infer, emba_sb_infer, emba_infer,
               (emba_ft_infer > emba_sb_infer && emba_sb_infer > emba_infer)
                   ? "yes" : "no");
-
-  RunThreadSweep(sweep_threads, json_path);
 
   // google-benchmark microbenchmarks of the inference forward pass.
   std::printf("\n--- per-pair inference microbenchmarks ---\n");

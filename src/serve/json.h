@@ -71,7 +71,8 @@ class Value {
 /// InvalidArgument with a byte offset on malformed input.
 Result<Value> Parse(const std::string& text);
 
-/// `s` with JSON string escaping applied (quotes not included).
+/// `s` with JSON string escaping applied (quotes not included); the rules
+/// are AppendJsonEscaped's (util/strings.h).
 std::string Escape(const std::string& s);
 
 /// Double formatted with enough digits to round-trip bit-exactly through

@@ -56,7 +56,8 @@ enum class Backend {
 /// "scalar" / "avx2".
 const char* BackendName(Backend b);
 
-/// One entry per vectorizable inner loop. All pointers are always non-null.
+/// One entry per vectorizable inner loop, each with a row in
+/// EMBA_KERNEL_LIST below. All pointers are always non-null.
 struct KernelTable {
   Backend backend;
 
@@ -169,6 +170,52 @@ struct KernelTable {
   void (*Transpose2D)(float* out, const float* in, int64_t rows,
                       int64_t cols);
 };
+
+// The kernel inventory, written once: one row per KernelTable entry above,
+// in declaration order, naming the member and its "kernels.calls.<metric>"
+// counter. The counting shim, a check that every member has a row (both in
+// kernels.cc) and AllKernelsSet below are generated from it. Adding a kernel
+// means one row here plus the member and its scalar and AVX2 functions;
+// leaving out any of them fails the build.
+#define EMBA_KERNEL_LIST(X)                          \
+  X(Dot, "dot")                                      \
+  X(Sum, "sum")                                      \
+  X(SumSq, "sum_sq")                                 \
+  X(CenteredSumSq, "centered_sum_sq")                \
+  X(Max, "max")                                      \
+  X(Add, "add")                                      \
+  X(Sub, "sub")                                      \
+  X(Mul, "mul")                                      \
+  X(Scale, "scale")                                  \
+  X(AddScalar, "add_scalar")                         \
+  X(Axpy, "axpy")                                    \
+  X(MulAdd, "mul_add")                               \
+  X(MatMulBlockAxpy, "matmul_block_axpy")            \
+  X(MatMulBlockDot, "matmul_block_dot")              \
+  X(ExpSubSum, "exp_sub_sum")                        \
+  X(ExpSubSumConst, "exp_sub_sum_const")             \
+  X(Gelu, "gelu")                                    \
+  X(Relu, "relu")                                    \
+  X(Tanh, "tanh")                                    \
+  X(Sigmoid, "sigmoid")                              \
+  X(GeluBackward, "gelu_backward")                   \
+  X(TanhBackward, "tanh_backward")                   \
+  X(SigmoidBackward, "sigmoid_backward")             \
+  X(SoftmaxBackwardRow, "softmax_backward_row")      \
+  X(LayerNormForwardRow, "layer_norm_forward_row")   \
+  X(MinMax, "min_max")                               \
+  X(Int8QuantizeRow, "int8_quantize_row")            \
+  X(Int8GemmDequant, "int8_gemm_dequant")            \
+  X(Transpose2D, "transpose2d")
+
+/// True when every listed entry of `t` is set. Each backend table
+/// static_asserts it, so an entry missing from its initializer fails the
+/// build instead of a call through a null pointer.
+constexpr bool AllKernelsSet(const KernelTable& t) {
+#define EMBA_KERNEL_IS_SET(Member, metric) t.Member != nullptr &&
+  return EMBA_KERNEL_LIST(EMBA_KERNEL_IS_SET) true;
+#undef EMBA_KERNEL_IS_SET
+}
 
 /// Activation row stride / padded depth of the int8 GEMM: k rounded up to
 /// the 4-byte broadcast group.

@@ -15,6 +15,7 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/observability.h"
+#include "util/strings.h"
 
 namespace emba {
 namespace train_obs {
@@ -65,19 +66,6 @@ void CloseLogLocked(LogState* log) {
   if (log->file != nullptr) {
     std::fclose(log->file);
     log->file = nullptr;
-  }
-}
-
-void AppendJsonEscaped(std::ostringstream* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out << "\\\""; break;
-      case '\\': *out << "\\\\"; break;
-      case '\n': *out << "\\n"; break;
-      case '\t': *out << "\\t"; break;
-      case '\r': *out << "\\r"; break;
-      default: *out << c;
-    }
   }
 }
 

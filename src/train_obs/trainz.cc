@@ -9,6 +9,7 @@
 #include "train_obs/run_status.h"
 #include "train_obs/train_obs.h"
 #include "util/observability.h"
+#include "util/strings.h"
 
 namespace emba {
 namespace train_obs {
@@ -24,19 +25,6 @@ void AppendHtmlEscaped(std::ostringstream* out, const std::string& s) {
       case '>': *out << "&gt;"; break;
       case '&': *out << "&amp;"; break;
       case '"': *out << "&quot;"; break;
-      default: *out << c;
-    }
-  }
-}
-
-void AppendJsonEscaped(std::ostringstream* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out << "\\\""; break;
-      case '\\': *out << "\\\\"; break;
-      case '\n': *out << "\\n"; break;
-      case '\t': *out << "\\t"; break;
-      case '\r': *out << "\\r"; break;
       default: *out << c;
     }
   }

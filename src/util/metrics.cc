@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "util/atomic_file.h"
+#include "util/strings.h"
 
 namespace emba {
 namespace metrics {
@@ -228,10 +229,7 @@ void AppendJsonNumber(std::ostringstream* out, double v) {
 
 void AppendQuoted(std::ostringstream* out, const std::string& s) {
   *out << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') *out << '\\';
-    *out << c;
-  }
+  AppendJsonEscaped(out, s);
   *out << '"';
 }
 

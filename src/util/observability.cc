@@ -16,6 +16,7 @@
 #include "util/metrics.h"
 #include "util/profiler.h"
 #include "util/request_trace.h"
+#include "util/strings.h"
 #include "util/trace.h"
 
 namespace emba {
@@ -144,19 +145,6 @@ void ResetTrainStateForTest() {
 // Endpoint handlers
 
 namespace {
-
-void AppendJsonEscaped(std::ostringstream* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out << "\\\""; break;
-      case '\\': *out << "\\\\"; break;
-      case '\n': *out << "\\n"; break;
-      case '\t': *out << "\\t"; break;
-      case '\r': *out << "\\r"; break;
-      default: *out << c;
-    }
-  }
-}
 
 void AppendHtmlEscaped(std::ostringstream* out, const std::string& s) {
   for (char c : s) {
@@ -556,6 +544,7 @@ const char* const kEnvKnobs[] = {
     "EMBA_TRACE_OUT",    "EMBA_OBS_PORT",    "EMBA_METRICS_EVERY",
     "EMBA_RTRACE",       "EMBA_ACCESS_LOG",  "EMBA_RPCZ_K",
     "EMBA_TRAIN_EVENTS", "EMBA_NAN_ABORT",   "EMBA_ATTN_STATS",
+    "EMBA_LOG_LEVEL",    "EMBA_BENCH_SCALE",
 };
 
 struct BuildzSections {

@@ -10,6 +10,7 @@
 
 #include "util/logging.h"
 #include "util/metrics.h"
+#include "util/strings.h"
 
 namespace emba {
 namespace rtrace {
@@ -82,19 +83,6 @@ AccessLog& Log() {
 std::atomic<uint64_t> g_next_batch_id{1};
 
 thread_local BatchSpan* t_batch_span = nullptr;
-
-void AppendJsonEscaped(std::ostringstream* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out << "\\\""; break;
-      case '\\': *out << "\\\\"; break;
-      case '\n': *out << "\\n"; break;
-      case '\t': *out << "\\t"; break;
-      case '\r': *out << "\\r"; break;
-      default: *out << c;
-    }
-  }
-}
 
 void AppendJsonNumber(std::ostringstream* out, double v) {
   std::ostringstream tmp;

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <ostream>
 
 namespace emba {
 
@@ -105,6 +106,33 @@ std::string FormatFixed(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), fmt, value);
   return buf;
+}
+
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+}
+
+void AppendJsonEscaped(std::ostream* out, std::string_view s) {
+  std::string escaped;
+  AppendJsonEscaped(&escaped, s);
+  *out << escaped;
 }
 
 }  // namespace emba

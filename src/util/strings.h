@@ -2,6 +2,7 @@
 // formatting. Header-light, allocation-conscious where it matters.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,5 +41,12 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 
 /// Formats a double with `digits` decimal places ("92.74").
 std::string FormatFixed(double value, int digits);
+
+/// Appends `s` escaped for the inside of a JSON string literal: `"` and `\`
+/// get a backslash, newline/CR/tab become \n \r \t, every other byte below
+/// 0x20 becomes \u00XX, and all other bytes (UTF-8 included) pass through.
+void AppendJsonEscaped(std::string* out, std::string_view s);
+/// The same escaping, written to a stream.
+void AppendJsonEscaped(std::ostream* out, std::string_view s);
 
 }  // namespace emba

@@ -11,6 +11,7 @@
 
 #include "util/atomic_file.h"
 #include "util/metrics.h"
+#include "util/strings.h"
 
 namespace emba {
 namespace trace {
@@ -205,13 +206,6 @@ void RecordSpanCopy(const std::string& name, Clock::time_point begin,
 
 namespace {
 
-void AppendEscaped(std::ostringstream* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') *out << '\\';
-    *out << *s;
-  }
-}
-
 void AppendJsonDouble(std::ostringstream* out, double v) {
   std::ostringstream tmp;
   tmp.precision(12);
@@ -227,7 +221,7 @@ void AppendArgsJson(std::ostringstream* out, const SpanArg* args) {
     if (args[a].name == nullptr) continue;
     *out << (any ? ", \"" : ", \"args\": {\"");
     any = true;
-    AppendEscaped(out, args[a].name);
+    AppendJsonEscaped(out, args[a].name);
     *out << "\": ";
     switch (args[a].type) {
       case SpanArg::Type::kInt64:
@@ -238,7 +232,7 @@ void AppendArgsJson(std::ostringstream* out, const SpanArg* args) {
         break;
       case SpanArg::Type::kString:
         *out << '"';
-        AppendEscaped(out, args[a].s);
+        AppendJsonEscaped(out, args[a].s);
         *out << '"';
         break;
       case SpanArg::Type::kNone:
@@ -297,7 +291,7 @@ Status WriteJson(const std::string& path) {
         << ", \"ts\": " << static_cast<double>(event.ts_ns) / 1000.0
         << ", \"dur\": " << static_cast<double>(event.dur_ns) / 1000.0
         << ", \"cat\": \"emba\", \"name\": \"";
-    AppendEscaped(&out, event.name());
+    AppendJsonEscaped(&out, event.name());
     out << "\"";
     AppendArgsJson(&out, event.args);
     out << "}";

@@ -4,9 +4,10 @@
 // (byte-at-a-time requests, bodies split across writes), oversized bodies
 // (413) and header blocks (431), malformed request lines and headers (400),
 // unsupported methods (405), bad Content-Length (400), mid-request
-// disconnects, Expect: 100-continue, and worker-pool admission (503 +
-// RefusedConnections when the pending queue is full). Runs under the
-// ASan+UBSan CI job like every tier-1 test.
+// disconnects, Expect: 100-continue, worker-pool admission (503 +
+// RefusedConnections when the pending queue is full), and an access-log
+// line that stays valid JSON when the path holds a control byte. Runs under
+// the ASan+UBSan CI job like every tier-1 test.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,13 +18,17 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "serve/json.h"
 #include "util/http_server.h"
+#include "util/request_trace.h"
 
 namespace emba {
 namespace {
@@ -238,6 +243,34 @@ TEST_F(HttpFaultTest, MidRequestDisconnectLeaksNothing) {
       RoundTripPieces(port_, {PostRequest("/echo", "still alive")});
   EXPECT_EQ(StatusOf(raw), 200);
   EXPECT_NE(BodyOf(raw).find("still alive"), std::string::npos);
+}
+
+TEST_F(HttpFaultTest, AccessLogLineStaysValidJsonWithControlByteInPath) {
+  // The logged endpoint is the client's raw path bytes, so the access log
+  // must escape control bytes to stay one valid JSON object per line.
+  const std::string log_path = "/tmp/emba_http_fault_access_log.jsonl";
+  std::remove(log_path.c_str());
+  rtrace::SetEnabled(true);
+  ASSERT_TRUE(rtrace::SetAccessLogPath(log_path).ok());
+  StartServer();
+  EXPECT_EQ(StatusOf(RoundTripPieces(
+                port_, {"GET /he\x01z HTTP/1.1\r\nHost: t\r\n\r\n"})),
+            200);
+  ExpectNoOpenConnections(*server_);  // the line is written at finish
+  ASSERT_TRUE(rtrace::FlushAccessLog().ok());
+  ASSERT_TRUE(rtrace::SetAccessLogPath("").ok());
+  rtrace::SetEnabled(false);
+  rtrace::ResetForTest();
+
+  std::ifstream in(log_path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  auto parsed = serve::json::Parse(line);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << line;
+  const serve::json::Value* endpoint = parsed->Find("endpoint");
+  ASSERT_NE(endpoint, nullptr);
+  EXPECT_EQ(endpoint->AsString(), "/he\x01z");
+  std::remove(log_path.c_str());
 }
 
 TEST_F(HttpFaultTest, Expect100ContinueGetsInterimResponse) {

@@ -27,6 +27,7 @@
 #include "core/registry.h"
 #include "core/trainer.h"
 #include "data/generator.h"
+#include "serve/json.h"
 #include "util/http_server.h"
 #include "util/metrics.h"
 #include "util/observability.h"
@@ -514,11 +515,32 @@ TEST_F(ObsServerTest, BuildzReportsProvenanceAndEnvKnobs) {
   // Every knob the codebase reads is reported, set or not.
   for (const char* knob :
        {"EMBA_SIMD", "EMBA_INT8", "EMBA_RTRACE", "EMBA_ACCESS_LOG",
-        "EMBA_RPCZ_K", "EMBA_NUM_THREADS"}) {
+        "EMBA_RPCZ_K", "EMBA_NUM_THREADS", "EMBA_LOG_LEVEL",
+        "EMBA_BENCH_SCALE"}) {
     EXPECT_NE(buildz->body.find("\"" + std::string(knob) + "\": "),
               std::string::npos)
         << knob << " missing from /buildz";
   }
+}
+
+TEST_F(ObsServerTest, BuildzStaysValidJsonWithControlByteInKnobValue) {
+  // A knob value is raw environment bytes; /buildz must escape all of them.
+  ASSERT_EQ(setenv("EMBA_ATTN_STATS", "he\x01z", 1), 0);
+  ASSERT_TRUE(StartObservabilityServer(0).ok());
+  auto buildz = HttpGet(ObservabilityServerPort(), "/buildz");
+  unsetenv("EMBA_ATTN_STATS");
+  ASSERT_TRUE(buildz.ok()) << buildz.status().ToString();
+  ASSERT_EQ(buildz->status, 200);
+
+  auto parsed = serve::json::Parse(buildz->body);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n"
+                           << buildz->body;
+  const serve::json::Value* env = parsed->Find("env");
+  ASSERT_NE(env, nullptr);
+  const serve::json::Value* value = env->Find("EMBA_ATTN_STATS");
+  ASSERT_NE(value, nullptr);
+  ASSERT_TRUE(value->is_string());
+  EXPECT_EQ(value->AsString(), "he\x01z");
 }
 
 TEST_F(ObsServerTest, RpczServesHtmlAndJsonWhenIdle) {

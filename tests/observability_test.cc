@@ -1,8 +1,9 @@
 // Tier-1 tests for the observability layer (util/metrics + util/trace):
 // exact counter/histogram totals under concurrent updates, span nesting,
 // the disabled-tracer no-op contract, JSON validity of both export formats,
-// end-to-end instrumentation coverage of a real training run, and
-// keep-last-K checkpoint rotation.
+// end-to-end instrumentation coverage of a real training run, the kernel
+// counting shim's bit-identical forwarding, and keep-last-K checkpoint
+// rotation.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -14,8 +15,11 @@
 #include <vector>
 
 #include "core/registry.h"
+#include "core/scoring.h"
 #include "core/trainer.h"
 #include "data/generator.h"
+#include "nn/optimizer.h"
+#include "tensor/int8.h"
 #include "tensor/kernels.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -444,6 +448,95 @@ TEST_F(ObservabilityTest, TrainingRunExportsInstrumentedMetricsAndTrace) {
   std::filesystem::remove(metrics_path);
   std::filesystem::remove(trace_path);
   SetGlobalThreads(0);
+}
+
+// ---------------------------------------------------------------------------
+// Counting shim: it forwards every kernel call unchanged and counts it.
+
+struct ScoredAndStepped {
+  std::vector<double> scores;
+  std::vector<Tensor> weights;  ///< every parameter after the step
+};
+
+// Batched scoring, then one Adam step over a few training pairs, of a fresh
+// small emba model, through whichever kernel table is active.
+ScoredAndStepped ScoreAndTrainOneStep(const core::EncodedDataset& dataset) {
+  Rng rng(5);
+  core::ModelBudget budget;
+  budget.dim = 16;
+  budget.layers = 1;
+  budget.heads = 2;
+  budget.max_len = 24;
+  auto created = core::CreateModel("emba", budget,
+                                   dataset.wordpiece->vocab().size(),
+                                   dataset.num_id_classes, &rng);
+  EMBA_CHECK(created.ok());
+  core::EmModel& model = **created;
+  ScoredAndStepped out;
+  model.SetTraining(false);
+  out.scores = core::BatchMatchProbabilities(model, dataset.test);
+
+  model.SetTraining(true);
+  nn::Adam adam(model.Parameters(), 1e-3f);
+  std::vector<ag::Var> losses;
+  for (size_t i = 0; i < 4; ++i) {
+    const core::PairSample& sample = dataset.train[i];
+    const core::ModelOutput logits = model.Forward(sample);
+    losses.push_back(ag::BinaryCrossEntropyFromLogits(logits.em_logits,
+                                                      sample.match ? 1 : 0));
+    for (const auto& [head, id] : {std::pair{logits.id1_logits, sample.id1},
+                                   std::pair{logits.id2_logits, sample.id2}}) {
+      if (id >= 0 && id < dataset.num_id_classes) {
+        losses.push_back(ag::CrossEntropyFromLogits(head, id));
+      }
+    }
+  }
+  ag::AddN(losses).Backward();
+  adam.Step();
+  for (const ag::Var& p : model.Parameters()) out.weights.push_back(p.value());
+  return out;
+}
+
+TEST_F(ObservabilityTest, CountingShimForwardsBitIdenticallyAndCounts) {
+  const core::EncodedDataset dataset = TinyEncodedDataset();
+  metrics::SetEnabled(false);
+  kernels::ResetBackend();
+  const kernels::KernelTable* raw = &kernels::Active();
+  const ScoredAndStepped reference = ScoreAndTrainOneStep(dataset);
+
+  metrics::SetEnabled(true);
+  kernels::ResetBackend();
+  ASSERT_NE(&kernels::Active(), raw) << "counting shim not installed";
+  EXPECT_EQ(kernels::ActiveBackend(), raw->backend);
+  const ScoredAndStepped counted = ScoreAndTrainOneStep(dataset);
+
+  ASSERT_EQ(counted.scores.size(), reference.scores.size());
+  for (size_t i = 0; i < reference.scores.size(); ++i) {
+    ASSERT_EQ(counted.scores[i], reference.scores[i]) << "pair " << i;
+  }
+  ASSERT_EQ(counted.weights.size(), reference.weights.size());
+  for (size_t p = 0; p < reference.weights.size(); ++p) {
+    const Tensor& a = counted.weights[p];
+    const Tensor& b = reference.weights[p];
+    ASSERT_TRUE(a.SameShape(b)) << "parameter " << p;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << "parameter " << p;
+  }
+
+  // Every kernel those calls run shows its calls under its list name.
+  std::vector<std::string> used = {
+      "dot", "sum", "centered_sum_sq", "max", "add", "mul", "scale",
+      "add_scalar", "axpy", "mul_add", "matmul_block_axpy",
+      "matmul_block_dot", "exp_sub_sum", "gelu", "gelu_backward",
+      "softmax_backward_row", "layer_norm_forward_row", "transpose2d"};
+  if (int8::ActiveMode() == int8::Mode::kOn) {
+    used.insert(used.end(),
+                {"min_max", "int8_quantize_row", "int8_gemm_dequant"});
+  }
+  for (const std::string& kernel : used) {
+    EXPECT_GT(metrics::GetCounter("kernels.calls." + kernel).Value(), 0u)
+        << kernel;
+  }
 }
 
 TEST_F(ObservabilityTest, HeartbeatLogsProgressWithTimestampedPrefix) {

@@ -11,7 +11,9 @@
 # — see src/tensor/arena.h — stays bit-identical and leak-free too), and once
 # with EMBA_INT8=on (so the quantized inference GEMM path — see
 # src/tensor/int8.h — holds its tolerance contract everywhere, not just in
-# the tests that opt into it).
+# the tests that opt into it). Last, one short perfbench run (see
+# perfbench/README.md) builds the benchmark against src/ and fails the
+# script when it exits nonzero: a build break or a failed output check.
 #
 # Usage: tools/run_tests.sh [extra ctest args...]
 # Honors EMBA_NUM_THREADS for the thread-pool width under test.
@@ -38,3 +40,5 @@ echo "=== serve_bench smoke (int8 quantized path) ==="
 ./bench/serve_bench --duration 5 --rps 200 --p99-ms 250 --int8
 echo "=== slow (integration tests) ==="
 ctest -L slow --output-on-failure -j "$@"
+echo "=== perfbench (abt workload: builds against src/, checks every output) ==="
+python3 ../perfbench/run.py --workload abt --seed 1 --seconds 30

@@ -14,6 +14,7 @@
 //   --json PATH   output path (default: kernel_bench.json)
 // Honors EMBA_BENCH_SCALE=full for longer per-point measurement windows.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -254,6 +255,49 @@ int main(int argc, char** argv) {
                  Tensor t = x;
                  t.Axpy(0.5f, y);
                  g_sink = t[0];
+               },
+               false, threads, have_avx2, &results);
+  }
+
+  // ---- fused multi-head attention core, one sequence ----
+  // The MultiHeadAttention kernel (plus the one Kᵀ transpose the op makes)
+  // against the per-head tensor ops it replaced: column slices, Transpose,
+  // MatMul, Scale, SoftmaxRows, MatMul and the concat. wdc and abt sequence
+  // lengths at the model's 4 heads of dim 8. FLOPs count the two matmuls
+  // (4·L²·hd per head) and softmax as 4 per score, as SoftmaxRows does.
+  for (const int64_t len : {int64_t{57}, int64_t{39}}) {
+    const int64_t heads = 4, hd = 8, dim = heads * hd;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    Tensor q = Tensor::RandomNormal({len, dim}, &rng);
+    Tensor k = Tensor::RandomNormal({len, dim}, &rng);
+    Tensor v = Tensor::RandomNormal({len, dim}, &rng);
+    Tensor probs({heads * len, len});
+    Tensor out({len, dim});
+    const std::string shape = "L" + std::to_string(len) + " " +
+                              std::to_string(heads) + "x" +
+                              std::to_string(hd);
+    const double flops =
+        static_cast<double>(heads) * len * len * (4.0 * hd + 4.0);
+    BenchPoint("AttentionFused", shape, flops,
+               [&] {
+                 Tensor kt = Transpose(k);
+                 kernels::Active().MultiHeadAttention(
+                     out.data(), probs.data(), q.data(), kt.data(), v.data(),
+                     nullptr, len, dim, heads, scale);
+                 g_sink = out[0];
+               },
+               false, threads, have_avx2, &results);
+    BenchPoint("AttentionComposed", shape, flops,
+               [&] {
+                 std::vector<Tensor> parts;
+                 for (int64_t h = 0; h < heads; ++h) {
+                   const int64_t b = h * hd, e = b + hd;
+                   Tensor p = SoftmaxRows(Scale(
+                       MatMul(q.ColSlice(b, e), Transpose(k.ColSlice(b, e))),
+                       scale));
+                   parts.push_back(MatMul(p, v.ColSlice(b, e)));
+                 }
+                 g_sink = ConcatCols(parts)[0];
                },
                false, threads, have_avx2, &results);
   }

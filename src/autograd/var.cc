@@ -425,6 +425,120 @@ Var Dropout(const Var& x, float p, Rng* rng, bool training) {
   });
 }
 
+namespace {
+
+// Backward of MultiHeadAttention. Per head, on packed [L × hd] and [L × L]
+// buffers, it runs the kernels of the per-head graph's backward on the same
+// operands in the same order (d· is a gradient, P' = P·keep):
+//   dP' = dO·v_hᵀ   and dv_h = P'ᵀ·dO     (the P·V MatMul)
+//   dP  = dP'·keep                         (Dropout)
+//   dS  = SoftmaxBackward(P, dP)·scale     (SoftmaxRows, Scale)
+//   dq_h = dS·k_h   and dk_hᵀ = q_hᵀ·dS    (the q·kᵀ MatMul)
+// The graph added each of these into a zero-filled buffer, which turns a
+// −0 into +0. Here every value is either a sum started from +0, which is
+// never −0, or feeds only such sums, which absorb the sign of a zero; so
+// those adds are left out. q, k and v still get theirs in AccumulateGrad.
+void MultiHeadAttentionBackward(VarNode& n, int64_t heads, float scale,
+                                const Tensor& probs, const Tensor& keep,
+                                const Tensor& kt) {
+  const Tensor& q = n.parents[0]->value;
+  const Tensor& v = n.parents[2]->value;
+  const Tensor& g = n.grad;
+  const int64_t len = q.rows(), dim = q.cols(), hd = dim / heads;
+  const int64_t ll = len * len;
+  const kernels::KernelTable& kern = kernels::Active();
+  Tensor dq({len, dim}), dk({len, dim}), dv({len, dim});
+  Tensor go({len, hd}), vh({len, hd}), dqh({len, hd}), dvh({len, hd});
+  Tensor dkt({hd, len}), dp({len, len}), ds({len, len});
+  Tensor dropped = keep.size() > 0 ? Tensor({len, len}) : Tensor();
+  for (int64_t h = 0; h < heads; ++h) {
+    const int64_t col = h * hd;
+    const float* p = probs.data() + h * ll;
+    for (int64_t r = 0; r < len; ++r) {
+      std::copy(g.data() + r * dim + col, g.data() + r * dim + col + hd,
+                go.data() + r * hd);
+      std::copy(v.data() + r * dim + col, v.data() + r * dim + col + hd,
+                vh.data() + r * hd);
+    }
+    kern.MatMulBlockDot(dp.data(), go.data(), len, vh.data(), hd, len);
+    const float* pv = p;
+    if (keep.size() > 0) {
+      const float* kh = keep.data() + h * ll;
+      std::copy(p, p + ll, dropped.data());
+      kern.Mul(dropped.data(), kh, ll);
+      kern.Mul(dp.data(), kh, ll);
+      pv = dropped.data();
+    }
+    kern.MatMulBlockAxpy(dvh.data(), pv, 1, len, len, go.data(), len, hd);
+    for (int64_t i = 0; i < len; ++i) {
+      const float* y = p + i * len;
+      const float* dy = dp.data() + i * len;
+      kern.SoftmaxBackwardRow(ds.data() + i * len, y, dy,
+                              kern.Dot(dy, y, len), len);
+    }
+    kern.Scale(ds.data(), scale, ll);
+    kern.MatMulBlockDot(dqh.data(), ds.data(), len, kt.data() + col * len,
+                        len, hd);
+    kern.MatMulBlockAxpy(dkt.data(), q.data() + col, 1, dim, hd, ds.data(),
+                         len, len);
+    for (int64_t r = 0; r < len; ++r) {
+      std::copy(dqh.data() + r * hd, dqh.data() + (r + 1) * hd,
+                dq.data() + r * dim + col);
+      std::copy(dvh.data() + r * hd, dvh.data() + (r + 1) * hd,
+                dv.data() + r * dim + col);
+      for (int64_t c = 0; c < hd; ++c) {
+        dk.data()[r * dim + col + c] = dkt.data()[c * len + r];
+      }
+    }
+  }
+  n.parents[0]->AccumulateGrad(dq);
+  n.parents[1]->AccumulateGrad(dk);
+  n.parents[2]->AccumulateGrad(dv);
+}
+
+}  // namespace
+
+Var MultiHeadAttention(const Var& q, const Var& k, const Var& v,
+                       int64_t heads, float scale, const DropoutSpec& dropout,
+                       Tensor* probs) {
+  const Tensor& qv = q.value();
+  const Tensor& vv = v.value();
+  EMBA_CHECK_MSG(qv.ndim() == 2 && qv.SameShape(k.value()) &&
+                     qv.SameShape(vv),
+                 "MultiHeadAttention requires q, k, v of one [L × dim] shape");
+  const int64_t len = qv.rows(), dim = qv.cols();
+  EMBA_CHECK_MSG(heads > 0 && dim % heads == 0,
+                 "MultiHeadAttention: dim must be divisible by heads");
+  Tensor kt = emba::Transpose(k.value());
+  // The keep multipliers as ag::Dropout draws them on each head's [L × L]
+  // probabilities, one head after another.
+  Tensor keep;
+  if (dropout.training && dropout.p > 0.0f) {
+    EMBA_CHECK_MSG(dropout.p < 1.0f, "dropout probability must be < 1");
+    keep = Tensor({heads * len, len});
+    const float s = 1.0f / (1.0f - dropout.p);
+    for (int64_t i = 0; i < keep.size(); ++i) {
+      keep[i] = dropout.rng->Bernoulli(dropout.p) ? 0.0f : s;
+    }
+  }
+  Tensor p({heads * len, len});
+  Tensor out({len, dim});
+  kernels::Active().MultiHeadAttention(
+      out.data(), p.data(), qv.data(), kt.data(), vv.data(),
+      keep.size() > 0 ? keep.data() : nullptr, len, dim, heads, scale);
+  if (g_inference_mode || !GradEnabled() || !AnyRequiresGrad({q, k, v})) {
+    if (probs != nullptr) *probs = std::move(p);
+    return Var(std::move(out));
+  }
+  if (probs != nullptr) *probs = p;
+  return MakeResult(
+      std::move(out), {q, k, v},
+      [heads, scale, p = std::move(p), keep = std::move(keep),
+       kt = std::move(kt)](VarNode& n) {
+        MultiHeadAttentionBackward(n, heads, scale, p, keep, kt);
+      });
+}
+
 Var EmbeddingLookup(const Var& table, const std::vector<int>& ids) {
   const Tensor& tv = table.value();
   EMBA_CHECK_MSG(tv.ndim() == 2, "embedding table must be 2-D");

@@ -219,6 +219,27 @@ Var LayerNormRows(const Var& x, const Var& gamma, const Var& beta,
 /// Inverted dropout; identity when !training or p == 0.
 Var Dropout(const Var& x, float p, Rng* rng, bool training);
 
+/// Dropout settings as ag::Dropout takes them.
+struct DropoutSpec {
+  float p = 0.0f;
+  Rng* rng = nullptr;
+  bool training = false;
+};
+
+/// Multi-head scaled dot-product self-attention over one sequence as one
+/// op. q, k, v are [L × dim]; head h owns columns [h·hd, (h+1)·hd) with
+/// hd = dim / heads. Returns the heads' outputs side by side, [L × dim]:
+/// per head, Dropout(SoftmaxRows(scale · q_h·k_hᵀ)) · v_h. Forward values
+/// and all three gradients are bit-identical to that per-head graph of
+/// ColSlice / Transpose / MatMul / Scale / SoftmaxRows / Dropout / MatMul /
+/// ConcatCols (apart from NaN payload bits), and the dropout mask is drawn
+/// in the same order: head by head, L×L row-major per head.
+/// When `probs` is non-null it receives the pre-dropout probabilities
+/// [heads·L × L], head h in rows [h·L, (h+1)·L).
+Var MultiHeadAttention(const Var& q, const Var& k, const Var& v,
+                       int64_t heads, float scale, const DropoutSpec& dropout,
+                       Tensor* probs = nullptr);
+
 /// Gathers rows of `table` ([V×H]) at `ids`, producing [len(ids)×H].
 Var EmbeddingLookup(const Var& table, const std::vector<int>& ids);
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "tensor/kernels.h"
 #include "train_obs/train_obs.h"
 
 namespace emba {
@@ -32,12 +33,6 @@ ag::Var MultiHeadSelfAttention::Forward(const ag::Var& x) const {
   ag::Var k = wk_.Forward(x);
   ag::Var v = wv_.Forward(x);
 
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<ag::Var> head_outputs;
-  head_outputs.reserve(static_cast<size_t>(num_heads_));
-  Tensor attn_accum;
-  if (capture_attention_) attn_accum = Tensor::Zeros({len, len});
-
   // EMBA_ATTN_STATS introspection: one relaxed load per forward when off;
   // the family id resolves once per named module when on.
   const bool attn_stats =
@@ -46,32 +41,30 @@ ag::Var MultiHeadSelfAttention::Forward(const ag::Var& x) const {
     attn_family_ = train_obs::RegisterAttentionFamily(attn_stats_name_);
   }
 
-  for (int64_t h = 0; h < num_heads_; ++h) {
-    const int64_t begin = h * head_dim_, end = (h + 1) * head_dim_;
-    ag::Var qh = ag::ColSlice(q, begin, end);
-    ag::Var kh = ag::ColSlice(k, begin, end);
-    ag::Var vh = ag::ColSlice(v, begin, end);
-    ag::Var scores = ag::Scale(ag::MatMul(qh, ag::Transpose(kh)), scale);
-    ag::Var weights = ag::SoftmaxRows(scores);
-    if (capture_attention_) {
-      attn_accum.Axpy(1.0f / static_cast<float>(num_heads_), weights.value());
-    }
-    if (attn_stats) {
-      train_obs::ObserveAttentionRows(attn_family_, weights.value());
-    }
-    weights = dropout_.Forward(weights);
-    head_outputs.push_back(ag::MatMul(weights, vh));
-  }
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  Tensor probs;  // pre-dropout, head h in rows [h·len, (h+1)·len)
+  ag::Var heads =
+      ag::MultiHeadAttention(q, k, v, num_heads_, scale, dropout_.spec(),
+                             capture_attention_ || attn_stats ? &probs
+                                                              : nullptr);
   if (capture_attention_) {
+    // Head average, summed in head order.
+    Tensor attn_accum = Tensor::Zeros({len, len});
+    const float inv_heads = 1.0f / static_cast<float>(num_heads_);
+    for (int64_t h = 0; h < num_heads_; ++h) {
+      kernels::Active().Axpy(attn_accum.data(), inv_heads,
+                             probs.data() + h * len * len, len * len);
+    }
     // The accumulator may be arena-backed; the capture outlives the sample's
     // arena scope, so it must move to the heap first.
     attn_accum.EnsureHeap();
     last_attention_ = std::move(attn_accum);
   }
-
-  ag::Var concat = num_heads_ == 1 ? head_outputs[0]
-                                   : ag::ConcatCols(head_outputs);
-  return wo_.Forward(concat);
+  if (attn_stats) {
+    // All heads' rows in head order, as one call per head would see them.
+    train_obs::ObserveAttentionRows(attn_family_, probs);
+  }
+  return wo_.Forward(heads);
 }
 
 }  // namespace nn

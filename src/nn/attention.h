@@ -11,9 +11,11 @@ namespace nn {
 
 /// Scaled dot-product multi-head self-attention over one sequence [L × H].
 ///
-/// Heads are realized as column slices of the fused Q/K/V projections.
-/// The per-head attention matrices from the most recent forward pass can be
-/// captured for the paper's Figure-6 visualization (CaptureAttention(true)).
+/// Heads are column ranges of the Q/K/V projections; one fused
+/// ag::MultiHeadAttention op computes all of them, in training and in
+/// inference. The per-head attention matrices from the most recent forward
+/// pass can be captured for the paper's Figure-6 visualization
+/// (CaptureAttention(true)).
 class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(int64_t dim, int64_t num_heads, float dropout_p,

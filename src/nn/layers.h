@@ -72,6 +72,9 @@ class DropoutLayer : public Module {
     return ag::Dropout(x, p_, rng_, training());
   }
 
+  /// The settings Forward applies, for ops that draw their own mask.
+  ag::DropoutSpec spec() const { return {p_, rng_, training()}; }
+
  private:
   float p_;
   Rng* rng_;

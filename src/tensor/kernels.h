@@ -56,8 +56,8 @@ enum class Backend {
 /// "scalar" / "avx2".
 const char* BackendName(Backend b);
 
-/// One entry per vectorizable inner loop, each with a row in
-/// EMBA_KERNEL_LIST below. All pointers are always non-null.
+/// One entry per vectorizable inner loop, plus the fused attention op, each
+/// with a row in EMBA_KERNEL_LIST below. All pointers are always non-null.
 struct KernelTable {
   Backend backend;
 
@@ -169,6 +169,28 @@ struct KernelTable {
   /// instead of a stride-n scatter per element.
   void (*Transpose2D)(float* out, const float* in, int64_t rows,
                       int64_t cols);
+
+  // ---- fused attention ----
+  /// Multi-head scaled dot-product attention over one sequence, every head
+  /// in one call (the forward of ag::MultiHeadAttention). q, v and out are
+  /// [len × dim] with head h in columns [h·hd, (h+1)·hd), hd = dim / heads,
+  /// read and written by stride; kt is Kᵀ [dim × len]. For each head h and
+  /// query row i, with P the [len × len] block of probs at row h·len:
+  ///   P[i][j] = Σ_p q[i][h·hd+p]·kt[h·hd+p][j]    — 0, then ascending p,
+  ///             skipping p where the q value is exactly 0 (MatMulBlockAxpy)
+  ///   P[i][j] = P[i][j]·scale
+  ///   P[i]    = Scale(ExpSubSum(P[i], Max(P[i])), 1/sum)   (SoftmaxRows)
+  ///   out[i][h·hd+c] = Σ_j P'[i][j]·v[j][h·hd+c] — 0, then ascending j,
+  ///             skipping j where P'[i][j] is exactly 0
+  /// where P' = P·keep elementwise when keep is non-null (inverted-dropout
+  /// multipliers, same layout as probs) and P' = P otherwise. probs
+  /// [heads·len × len] is always written and holds the pre-dropout P. That
+  /// is the op sequence of the per-head slice/MatMul/Scale/SoftmaxRows/
+  /// dropout/MatMul/concat graph, so out and probs match it bit for bit.
+  void (*MultiHeadAttention)(float* out, float* probs, const float* q,
+                             const float* kt, const float* v,
+                             const float* keep, int64_t len, int64_t dim,
+                             int64_t heads, float scale);
 };
 
 // The kernel inventory, written once: one row per KernelTable entry above,
@@ -206,7 +228,8 @@ struct KernelTable {
   X(MinMax, "min_max")                               \
   X(Int8QuantizeRow, "int8_quantize_row")            \
   X(Int8GemmDequant, "int8_gemm_dequant")            \
-  X(Transpose2D, "transpose2d")
+  X(Transpose2D, "transpose2d")                      \
+  X(MultiHeadAttention, "multi_head_attention")
 
 /// True when every listed entry of `t` is set. Each backend table
 /// static_asserts it, so an entry missing from its initializer fails the

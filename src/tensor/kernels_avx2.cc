@@ -32,15 +32,9 @@ using namespace detail;
 
 // ---- vector renditions of the shared scalar math ----
 
-inline __m256 ExpAvx2(__m256 x) {
-  const __m256 hi = _mm256_set1_ps(kExpHi);
-  const __m256 lo = _mm256_set1_ps(kExpLo);
-  const __m256 big_mask = _mm256_cmp_ps(x, hi, _CMP_GT_OQ);
-  const __m256 small_mask = _mm256_cmp_ps(x, lo, _CMP_LT_OQ);
-  const __m256 nan_mask = _mm256_cmp_ps(x, x, _CMP_UNORD_Q);
-  // Clamp so the int conversion below stays defined for the lanes the final
-  // blends overwrite anyway.
-  __m256 xc = _mm256_min_ps(_mm256_max_ps(x, lo), hi);
+// ExpApprox's range reduction and polynomial for an x already clamped to
+// [kExpLo, kExpHi].
+inline __m256 ExpClampedAvx2(__m256 xc) {
   __m256 fx = _mm256_add_ps(_mm256_mul_ps(xc, _mm256_set1_ps(kLog2e)),
                             _mm256_set1_ps(0.5f));
   __m256 fl = _mm256_round_ps(fx, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
@@ -59,7 +53,18 @@ inline __m256 ExpAvx2(__m256 x) {
   __m256i n = _mm256_cvttps_epi32(fl);
   __m256i pow2n =
       _mm256_slli_epi32(_mm256_add_epi32(n, _mm256_set1_epi32(127)), 23);
-  y = _mm256_mul_ps(y, _mm256_castsi256_ps(pow2n));
+  return _mm256_mul_ps(y, _mm256_castsi256_ps(pow2n));
+}
+
+inline __m256 ExpAvx2(__m256 x) {
+  const __m256 hi = _mm256_set1_ps(kExpHi);
+  const __m256 lo = _mm256_set1_ps(kExpLo);
+  const __m256 big_mask = _mm256_cmp_ps(x, hi, _CMP_GT_OQ);
+  const __m256 small_mask = _mm256_cmp_ps(x, lo, _CMP_LT_OQ);
+  const __m256 nan_mask = _mm256_cmp_ps(x, x, _CMP_UNORD_Q);
+  // Clamp so the int conversion stays defined for the lanes the final
+  // blends overwrite anyway.
+  __m256 y = ExpClampedAvx2(_mm256_min_ps(_mm256_max_ps(x, lo), hi));
   // Same priority as the scalar early returns: NaN wins over range.
   y = _mm256_blendv_ps(y, _mm256_set1_ps(HUGE_VALF), big_mask);
   y = _mm256_blendv_ps(y, _mm256_setzero_ps(), small_mask);
@@ -388,6 +393,11 @@ void RowAxpyAvx2(float* crow, const float* a, int64_t a_stride,
 alignas(32) constexpr int32_t kTailMaskTable[2 * kLanes] = {
     -1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0};
 
+inline __m256i TailMask(int64_t w) {
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kTailMaskTable + kLanes - w));
+}
+
 // Narrow helper for the ≤15-column j-tail of an axpy row block: plain
 // 8-wide + scalar, pointer-bumped. `b_stride` is the row stride of b (the
 // full output width); `n` is the number of columns to produce here.
@@ -551,8 +561,7 @@ void MatMulBlockAxpyAvx2(float* c, const float* a, int64_t a_row_stride,
   }
   if (j < n) {
     const int64_t w = n - j;  // 1..7
-    const __m256i mask = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(kTailMaskTable + kLanes - w));
+    const __m256i mask = TailMask(w);
     int64_t r = 0;
     for (; r + 4 <= num_rows; r += 4) {
       const float* pa0 = a + r * a_row_stride;
@@ -1153,6 +1162,294 @@ void Transpose2DAvx2(float* out, const float* in, int64_t rows,
   }
 }
 
+// ---- fused multi-head attention ----
+//
+// Per head, query rows go in blocks of R ≤ 4: the scores, the softmax passes
+// and the P·V sums of the block's rows are four independent dependency
+// chains, where one row at a time waits on each vaddps/vmaxps. Each output
+// element still sees the scalar backend's exact op sequence:
+//  * scores and P·V: 0, then += a·b in ascending p (or j), mul then add;
+//  * softmax: the Max/ExpSubSum lane contract — lane l takes elements l,
+//    l+8, ..., the n % 8 tail feeds lanes 0..n%8−1 (here one masked vector,
+//    blended into the accumulators), then the ReduceLanes trees;
+//  * the zero-skips: an accumulator starts at +0 and a sum reaches −0 only
+//    from two −0s, so it is never −0 and adding ±0 leaves it unchanged.
+//    Skipping a zero factor therefore changes nothing when the other factor
+//    is finite (0·inf would be NaN), so with all of Kᵀ and V finite the
+//    loops add every product, branch-free. Other inputs (whose outputs are
+//    NaN or inf anyway) go to the scalar reference kernel.
+// The `#pragma GCC unroll 4` on every loop over the R rows makes GCC unroll
+// it early enough to keep the R accumulators in registers; without it they
+// live on the stack and each step waits on a store and a reload.
+
+bool AllFiniteAvx2(const float* x, int64_t n) {
+  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+  const __m256 inf = _mm256_set1_ps(HUGE_VALF);
+  __m256 bad = _mm256_setzero_ps();
+  int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    const __m256 a = _mm256_and_ps(_mm256_loadu_ps(x + i), abs_mask);
+    bad = _mm256_or_ps(bad, _mm256_cmp_ps(a, inf, _CMP_NLT_UQ));
+  }
+  if (_mm256_movemask_ps(bad) != 0) return false;
+  for (; i < n; ++i) {
+    if (!std::isfinite(x[i])) return false;
+  }
+  return true;
+}
+
+// ExpAvx2 for lanes that hold no NaN and are ≤ 0 (x − max of a row with no
+// NaN and a finite max). On such lanes the overflow blend, the NaN blend and
+// the upper clamp cannot change the result, so they are left out; the
+// underflow blend and the lower clamp stay.
+inline __m256 ExpNonPositiveAvx2(__m256 x) {
+  const __m256 lo = _mm256_set1_ps(kExpLo);
+  const __m256 small_mask = _mm256_cmp_ps(x, lo, _CMP_LT_OQ);
+  const __m256 y = ExpClampedAvx2(_mm256_max_ps(x, lo));
+  return _mm256_blendv_ps(y, _mm256_setzero_ps(), small_mask);
+}
+
+// One 8-column strip of R score rows: s[r][0..8) = scale · Σ_p q_r[p]·kp[p].
+// q rows have stride `dim`, kp (a strip of Kᵀ) and s rows stride `len`.
+template <int R, bool kMasked>
+inline void AttnScoreStrip(float* s, const float* q, int64_t dim,
+                           const float* kp, int64_t hd, int64_t len,
+                           __m256 vscale, __m256i mask) {
+  __m256 acc[R];
+  #pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_ps();
+  for (int64_t p = 0; p < hd; ++p, kp += len) {
+    const __m256 kv =
+        kMasked ? _mm256_maskload_ps(kp, mask) : _mm256_loadu_ps(kp);
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      acc[r] = _mm256_add_ps(
+          acc[r], _mm256_mul_ps(_mm256_set1_ps(q[r * dim + p]), kv));
+    }
+  }
+  #pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    const __m256 out = _mm256_mul_ps(acc[r], vscale);
+    if (kMasked) {
+      _mm256_maskstore_ps(s + r * len, mask, out);
+    } else {
+      _mm256_storeu_ps(s + r * len, out);
+    }
+  }
+}
+
+template <int R>
+inline void AttnScoresAvx2(float* s, const float* q, int64_t dim,
+                           const float* kth, int64_t hd, int64_t len,
+                           float scale) {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  const __m256i all = _mm256_set1_epi32(-1);
+  int64_t j = 0;
+  for (; j + kLanes <= len; j += kLanes) {
+    AttnScoreStrip<R, false>(s + j, q, dim, kth + j, hd, len, vscale, all);
+  }
+  if (j < len) {
+    AttnScoreStrip<R, true>(s + j, q, dim, kth + j, hd, len, vscale,
+                            TailMask(len - j));
+  }
+}
+
+// ExpSubSum over R rows at once; returns each row's lane accumulators.
+template <int R, bool kFast>
+inline void AttnExpPass(float* s, int64_t len, const float* mx,
+                        __m256* sum) {
+  const int64_t main_end = MainEnd(len);
+  __m256 vmx[R];
+  #pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    vmx[r] = _mm256_set1_ps(mx[r]);
+    sum[r] = _mm256_setzero_ps();
+  }
+  for (int64_t j = 0; j < main_end; j += kLanes) {
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      float* x = s + r * len + j;
+      const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(x), vmx[r]);
+      const __m256 e = kFast ? ExpNonPositiveAvx2(d) : ExpAvx2(d);
+      _mm256_storeu_ps(x, e);
+      sum[r] = _mm256_add_ps(sum[r], e);
+    }
+  }
+  if (main_end < len) {
+    const __m256i mask = TailMask(len - main_end);
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      float* x = s + r * len + main_end;
+      const __m256 d = _mm256_sub_ps(_mm256_maskload_ps(x, mask), vmx[r]);
+      const __m256 e = kFast ? ExpNonPositiveAvx2(d) : ExpAvx2(d);
+      _mm256_maskstore_ps(x, mask, e);
+      sum[r] = _mm256_blendv_ps(sum[r], _mm256_add_ps(sum[r], e),
+                                _mm256_castsi256_ps(mask));
+    }
+  }
+}
+
+// SoftmaxRows on R rows of s (stride len): Max, ExpSubSum, Scale(1/sum).
+template <int R>
+inline void AttnSoftmaxAvx2(float* s, int64_t len) {
+  const int64_t main_end = MainEnd(len);
+  __m256 m[R];
+  __m256 nan = _mm256_setzero_ps();
+  #pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) m[r] = _mm256_set1_ps(s[r * len]);
+  for (int64_t j = 0; j < main_end; j += kLanes) {
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256 x = _mm256_loadu_ps(s + r * len + j);
+      nan = _mm256_or_ps(nan, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+      m[r] = _mm256_max_ps(m[r], x);
+    }
+  }
+  if (main_end < len) {
+    const __m256i mask = TailMask(len - main_end);
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      // Dead lanes load as 0: never NaN, and the blend drops their max.
+      const __m256 x = _mm256_maskload_ps(s + r * len + main_end, mask);
+      nan = _mm256_or_ps(nan, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+      m[r] = _mm256_blendv_ps(m[r], _mm256_max_ps(m[r], x),
+                              _mm256_castsi256_ps(mask));
+    }
+  }
+  // vmaxps(NaN, y) returns y, so a finite max does not rule out a NaN in
+  // the row; the unordered scan does.
+  float mx[R];
+  bool fast = _mm256_movemask_ps(nan) == 0;
+  #pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    alignas(32) float acc[kLanes];
+    _mm256_store_ps(acc, m[r]);
+    mx[r] = ReduceLanesMax(acc);
+    fast = fast && std::isfinite(mx[r]);
+  }
+  __m256 sum[R];
+  if (fast) {
+    AttnExpPass<R, true>(s, len, mx, sum);
+  } else {
+    AttnExpPass<R, false>(s, len, mx, sum);
+  }
+  #pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    alignas(32) float acc[kLanes];
+    _mm256_store_ps(acc, sum[r]);
+    const __m256 inv = _mm256_set1_ps(1.0f / ReduceLanes(acc));
+    float* x = s + r * len;
+    int64_t j = 0;
+    for (; j < main_end; j += kLanes) {
+      _mm256_storeu_ps(x + j, _mm256_mul_ps(_mm256_loadu_ps(x + j), inv));
+    }
+    if (j < len) {
+      const __m256i mask = TailMask(len - j);
+      _mm256_maskstore_ps(
+          x + j, mask, _mm256_mul_ps(_mm256_maskload_ps(x + j, mask), inv));
+    }
+  }
+}
+
+// One ≤8-column strip of R output rows: o_r = Σ_j P'_r[j]·v_j over the
+// strip. p and keep rows have stride len; v rows and o rows stride dim.
+template <int R, bool kKeep, bool kMasked>
+inline void AttnValueStrip(float* o, int64_t dim, const float* p,
+                           const float* keep, int64_t len, const float* vp,
+                           __m256i mask) {
+  __m256 acc[R];
+  #pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_ps();
+  for (int64_t j = 0; j < len; ++j, vp += dim) {
+    const __m256 vv =
+        kMasked ? _mm256_maskload_ps(vp, mask) : _mm256_loadu_ps(vp);
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const float pv = kKeep ? p[r * len + j] * keep[r * len + j]
+                             : p[r * len + j];
+      acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_set1_ps(pv), vv));
+    }
+  }
+  #pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    if (kMasked) {
+      _mm256_maskstore_ps(o + r * dim, mask, acc[r]);
+    } else {
+      _mm256_storeu_ps(o + r * dim, acc[r]);
+    }
+  }
+}
+
+template <int R, bool kKeep>
+inline void AttnValuesAvx2(float* o, int64_t dim, const float* p,
+                           const float* keep, int64_t len, const float* v,
+                           int64_t hd) {
+  const __m256i all = _mm256_set1_epi32(-1);
+  int64_t c = 0;
+  for (; c + kLanes <= hd; c += kLanes) {
+    AttnValueStrip<R, kKeep, false>(o + c, dim, p, keep, len, v + c, all);
+  }
+  if (c < hd) {
+    AttnValueStrip<R, kKeep, true>(o + c, dim, p, keep, len, v + c,
+                                   TailMask(hd - c));
+  }
+}
+
+// The four steps for query rows [i0, i0 + R) of head h.
+template <int R>
+void AttnRowBlockAvx2(float* out, float* probs, const float* q,
+                      const float* kt, const float* v, const float* keep,
+                      int64_t len, int64_t dim, int64_t hd, int64_t h,
+                      int64_t i0, float scale) {
+  const int64_t col = h * hd;
+  float* s = probs + (h * len + i0) * len;
+  AttnScoresAvx2<R>(s, q + i0 * dim + col, dim, kt + col * len, hd, len,
+                    scale);
+  AttnSoftmaxAvx2<R>(s, len);
+  float* o = out + i0 * dim + col;
+  if (keep != nullptr) {
+    AttnValuesAvx2<R, true>(o, dim, s, keep + (h * len + i0) * len, len,
+                            v + col, hd);
+  } else {
+    AttnValuesAvx2<R, false>(o, dim, s, nullptr, len, v + col, hd);
+  }
+}
+
+void MultiHeadAttentionAvx2(float* out, float* probs, const float* q,
+                            const float* kt, const float* v,
+                            const float* keep, int64_t len, int64_t dim,
+                            int64_t heads, float scale) {
+  if (!AllFiniteAvx2(kt, dim * len) || !AllFiniteAvx2(v, len * dim)) {
+    ScalarKernels().MultiHeadAttention(out, probs, q, kt, v, keep, len, dim,
+                                       heads, scale);
+    return;
+  }
+  const int64_t hd = dim / heads;
+  for (int64_t h = 0; h < heads; ++h) {
+    int64_t i0 = 0;
+    for (; i0 + 4 <= len; i0 += 4) {
+      AttnRowBlockAvx2<4>(out, probs, q, kt, v, keep, len, dim, hd, h, i0,
+                          scale);
+    }
+    switch (len - i0) {
+      case 3:
+        AttnRowBlockAvx2<3>(out, probs, q, kt, v, keep, len, dim, hd, h, i0,
+                            scale);
+        break;
+      case 2:
+        AttnRowBlockAvx2<2>(out, probs, q, kt, v, keep, len, dim, hd, h, i0,
+                            scale);
+        break;
+      case 1:
+        AttnRowBlockAvx2<1>(out, probs, q, kt, v, keep, len, dim, hd, h, i0,
+                            scale);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
 constexpr KernelTable kAvx2Table = {
     .backend = Backend::kAvx2,
     .Dot = DotAvx2,
@@ -1184,6 +1481,7 @@ constexpr KernelTable kAvx2Table = {
     .Int8QuantizeRow = Int8QuantizeRowAvx2,
     .Int8GemmDequant = Int8GemmDequantAvx2,
     .Transpose2D = Transpose2DAvx2,
+    .MultiHeadAttention = MultiHeadAttentionAvx2,
 };
 static_assert(AllKernelsSet(kAvx2Table),
               "the AVX2 backend leaves a listed kernel unset");

@@ -286,6 +286,37 @@ void Transpose2DScalar(float* out, const float* in, int64_t rows,
   }
 }
 
+// The reference semantics, one query row at a time, built from the kernels
+// whose sequence it replaces: a one-row MatMulBlockAxpy against Kᵀ, Scale,
+// SoftmaxRows' three passes, then the P·V accumulation with its zero-skip.
+void MultiHeadAttentionScalar(float* out, float* probs, const float* q,
+                              const float* kt, const float* v,
+                              const float* keep, int64_t len, int64_t dim,
+                              int64_t heads, float scale) {
+  const int64_t hd = dim / heads;
+  for (int64_t h = 0; h < heads; ++h) {
+    const int64_t col = h * hd;
+    for (int64_t i = 0; i < len; ++i) {
+      float* p = probs + (h * len + i) * len;
+      MatMulBlockAxpyScalar(p, q + i * dim + col, 0, 1, 1, kt + col * len,
+                            hd, len);
+      ScaleScalar(p, scale, len);
+      const float mx = MaxScalar(p, len);
+      const float sum = ExpSubSumScalar(p, mx, len);
+      ScaleScalar(p, 1.0f / sum, len);
+      const float* kp = keep != nullptr ? keep + (h * len + i) * len : nullptr;
+      float* o = out + i * dim + col;
+      for (int64_t c = 0; c < hd; ++c) o[c] = 0.0f;
+      for (int64_t j = 0; j < len; ++j) {
+        const float pv = kp != nullptr ? p[j] * kp[j] : p[j];
+        if (pv == 0.0f) continue;
+        const float* vrow = v + j * dim + col;
+        for (int64_t c = 0; c < hd; ++c) o[c] = o[c] + pv * vrow[c];
+      }
+    }
+  }
+}
+
 constexpr KernelTable kScalarTable = {
     .backend = Backend::kScalar,
     .Dot = DotScalar,
@@ -317,6 +348,7 @@ constexpr KernelTable kScalarTable = {
     .Int8QuantizeRow = Int8QuantizeRowScalar,
     .Int8GemmDequant = Int8GemmDequantScalar,
     .Transpose2D = Transpose2DScalar,
+    .MultiHeadAttention = MultiHeadAttentionScalar,
 };
 static_assert(AllKernelsSet(kScalarTable),
               "the scalar backend leaves a listed kernel unset");

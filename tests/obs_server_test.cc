@@ -104,113 +104,6 @@ Result<HttpResult> HttpGet(int port, const std::string& target) {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON syntax validator (same grammar as observability_test's).
-
-class JsonValidator {
- public:
-  explicit JsonValidator(const std::string& text) : s_(text) {}
-  bool Valid() {
-    SkipWs();
-    if (!Value()) return false;
-    SkipWs();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool Peek(char c) const { return pos_ < s_.size() && s_[pos_] == c; }
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool Literal(const char* word) {
-    const size_t n = std::strlen(word);
-    if (s_.compare(pos_, n, word) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  bool String() {
-    if (!Peek('"')) return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      pos_ += s_[pos_] == '\\' ? 2 : 1;
-    }
-    if (!Peek('"')) return false;
-    ++pos_;
-    return true;
-  }
-  bool Number() {
-    const size_t start = pos_;
-    if (Peek('-')) ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool Value() {
-    SkipWs();
-    if (Peek('{')) return Object();
-    if (Peek('[')) return Array();
-    if (Peek('"')) return String();
-    if (Literal("true") || Literal("false") || Literal("null")) return true;
-    return Number();
-  }
-  bool Object() {
-    ++pos_;
-    SkipWs();
-    if (Peek('}')) {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (!Peek(':')) return false;
-      ++pos_;
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek(',')) {
-        ++pos_;
-        continue;
-      }
-      break;
-    }
-    SkipWs();
-    if (!Peek('}')) return false;
-    ++pos_;
-    return true;
-  }
-  bool Array() {
-    ++pos_;
-    SkipWs();
-    if (Peek(']')) {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek(',')) {
-        ++pos_;
-        continue;
-      }
-      break;
-    }
-    SkipWs();
-    if (!Peek(']')) return false;
-    ++pos_;
-    return true;
-  }
-  const std::string& s_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Prometheus exposition checks shared by the syntax and concurrency tests.
 
 // Asserts exposition-format shape line by line and the histogram invariant:
@@ -420,7 +313,7 @@ TEST_F(ObsServerTest, ConcurrentScrapeDuringTrainingIsConsistent) {
   auto json = HttpGet(port, "/metrics.json");
   ASSERT_TRUE(json.ok());
   EXPECT_EQ(json->status, 200);
-  EXPECT_TRUE(JsonValidator(json->body).Valid());
+  EXPECT_TRUE(serve::json::Parse(json->body).ok());
   EXPECT_NE(json->body.find("process.rss_bytes"), std::string::npos);
   EXPECT_NE(json->body.find("process.uptime_seconds"), std::string::npos);
   EXPECT_NE(json->body.find("process.threads"), std::string::npos);
@@ -441,7 +334,7 @@ TEST_F(ObsServerTest, HealthzReflectsStateTransitions) {
   EXPECT_EQ(starting->status, 200);
   EXPECT_NE(starting->body.find("\"state\": \"starting\""),
             std::string::npos);
-  EXPECT_TRUE(JsonValidator(starting->body).Valid());
+  EXPECT_TRUE(serve::json::Parse(starting->body).ok());
 
   SetHealthState(HealthState::kScoring);
   HealthHeartbeat();
@@ -474,7 +367,7 @@ TEST_F(ObsServerTest, TracezServesTypedArgsAsJsonAndHtml) {
   auto json = HttpGet(port, "/tracez?format=json");
   ASSERT_TRUE(json.ok());
   EXPECT_EQ(json->status, 200);
-  EXPECT_TRUE(JsonValidator(json->body).Valid()) << json->body;
+  EXPECT_TRUE(serve::json::Parse(json->body).ok()) << json->body;
   EXPECT_NE(json->body.find("obs_test/span"), std::string::npos);
   EXPECT_NE(json->body.find("\"step\": 41"), std::string::npos);
   EXPECT_NE(json->body.find("\"lr\": 0.25"), std::string::npos);
@@ -506,7 +399,7 @@ TEST_F(ObsServerTest, BuildzReportsProvenanceAndEnvKnobs) {
   auto buildz = HttpGet(port, "/buildz");
   ASSERT_TRUE(buildz.ok()) << buildz.status().ToString();
   ASSERT_EQ(buildz->status, 200);
-  EXPECT_TRUE(JsonValidator(buildz->body).Valid()) << buildz->body;
+  EXPECT_TRUE(serve::json::Parse(buildz->body).ok()) << buildz->body;
   EXPECT_NE(buildz->body.find("\"git_sha\": \""), std::string::npos);
   EXPECT_NE(buildz->body.find("\"compiler\": \""), std::string::npos);
   EXPECT_NE(buildz->body.find("\"start_time_unix_seconds\": "),
@@ -556,7 +449,7 @@ TEST_F(ObsServerTest, RpczServesHtmlAndJsonWhenIdle) {
   auto json = HttpGet(port, "/rpcz?format=json");
   ASSERT_TRUE(json.ok());
   EXPECT_EQ(json->status, 200);
-  EXPECT_TRUE(JsonValidator(json->body).Valid()) << json->body;
+  EXPECT_TRUE(serve::json::Parse(json->body).ok()) << json->body;
   EXPECT_NE(json->body.find("\"slowest_k\": "), std::string::npos);
   EXPECT_NE(json->body.find("\"retained\": ["), std::string::npos);
 
@@ -593,6 +486,22 @@ TEST_F(ObsServerTest, PortInUseFailsCleanly) {
   EXPECT_FALSE(second.Running());
 }
 
+// The process thread count from /proc/self/status once it equals
+// `expected`, or the last count read when 5 s pass first. pthread_join
+// returns when the kernel clears the thread id, which comes before the
+// thread stops being counted there, so a joined thread can still show for
+// a moment.
+int64_t ThreadCountOnceEqual(int64_t expected) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  int64_t threads = metrics::GetProcessStats().threads;
+  while (threads != expected && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    threads = metrics::GetProcessStats().threads;
+  }
+  return threads;
+}
+
 TEST_F(ObsServerTest, ServerOffMeansNoListenerThread) {
   ASSERT_FALSE(ObservabilityServerRunning());
   EXPECT_EQ(ObservabilityServerPort(), 0);
@@ -602,10 +511,10 @@ TEST_F(ObsServerTest, ServerOffMeansNoListenerThread) {
   // The listener thread exists exactly while the server runs.
   ASSERT_TRUE(StartObservabilityServer(0).ok());
   EXPECT_TRUE(ObservabilityServerRunning());
-  EXPECT_EQ(metrics::GetProcessStats().threads, threads_before + 1);
+  EXPECT_EQ(ThreadCountOnceEqual(threads_before + 1), threads_before + 1);
   StopObservabilityServer();
   EXPECT_FALSE(ObservabilityServerRunning());
-  EXPECT_EQ(metrics::GetProcessStats().threads, threads_before);
+  EXPECT_EQ(ThreadCountOnceEqual(threads_before), threads_before);
 }
 
 TEST_F(ObsServerTest, DoubleStartRejected) {
@@ -720,7 +629,7 @@ TEST_F(ObsServerTest, WriteJsonEmitsTypedSpanArgs) {
   std::stringstream buf;
   buf << in.rdbuf();
   const std::string json = buf.str();
-  EXPECT_TRUE(JsonValidator(json).Valid());
+  EXPECT_TRUE(serve::json::Parse(json).ok());
   EXPECT_NE(json.find("\"epoch\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"threshold\": 0.5"), std::string::npos);
   EXPECT_NE(json.find("\"dataset\": \"wdc\""), std::string::npos);

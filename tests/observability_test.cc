@@ -6,7 +6,6 @@
 // rotation.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +18,7 @@
 #include "core/trainer.h"
 #include "data/generator.h"
 #include "nn/optimizer.h"
+#include "serve/json.h"
 #include "tensor/int8.h"
 #include "tensor/kernels.h"
 #include "util/metrics.h"
@@ -27,119 +27,6 @@
 
 namespace emba {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal JSON syntax validator (recursive descent). Accepts exactly the
-// JSON grammar; enough to assert "this export parses", without a JSON
-// dependency the container doesn't have.
-class JsonValidator {
- public:
-  explicit JsonValidator(const std::string& text) : s_(text) {}
-
-  bool Valid() {
-    SkipWs();
-    if (!Value()) return false;
-    SkipWs();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool Peek(char c) const { return pos_ < s_.size() && s_[pos_] == c; }
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool Literal(const char* word) {
-    const size_t n = std::strlen(word);
-    if (s_.compare(pos_, n, word) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  bool String() {
-    if (!Peek('"')) return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      pos_ += s_[pos_] == '\\' ? 2 : 1;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool Number() {
-    const size_t start = pos_;
-    if (Peek('-')) ++pos_;
-    bool digits = false;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      digits |= std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0;
-      ++pos_;
-    }
-    return digits && pos_ > start;
-  }
-  bool Object() {
-    ++pos_;  // '{'
-    SkipWs();
-    if (Peek('}')) return ++pos_, true;
-    for (;;) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (!Peek(':')) return false;
-      ++pos_;
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek(',')) {
-        ++pos_;
-        continue;
-      }
-      if (Peek('}')) return ++pos_, true;
-      return false;
-    }
-  }
-  bool Array() {
-    ++pos_;  // '['
-    SkipWs();
-    if (Peek(']')) return ++pos_, true;
-    for (;;) {
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek(',')) {
-        ++pos_;
-        continue;
-      }
-      if (Peek(']')) return ++pos_, true;
-      return false;
-    }
-  }
-  bool Value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  const std::string& s_;
-  size_t pos_ = 0;
-};
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path);
@@ -245,7 +132,7 @@ TEST_F(ObservabilityTest, MetricsJsonIsValidAndContainsMetrics) {
   metrics::GetGauge("test.json_gauge").Set(1.5);
   metrics::GetHistogram("test.json_histogram_ms").Observe(3.0);
   const std::string json = metrics::Registry::Global().ToJson();
-  EXPECT_TRUE(JsonValidator(json).Valid()) << json;
+  EXPECT_TRUE(serve::json::Parse(json).ok()) << json;
   EXPECT_NE(json.find("\"test.json_counter\": 7"), std::string::npos);
   EXPECT_NE(json.find("test.json_gauge"), std::string::npos);
   EXPECT_NE(json.find("test.json_histogram_ms"), std::string::npos);
@@ -253,7 +140,7 @@ TEST_F(ObservabilityTest, MetricsJsonIsValidAndContainsMetrics) {
   const std::string path = "/tmp/emba_observability_metrics.json";
   std::filesystem::remove(path);
   ASSERT_TRUE(metrics::DumpMetricsJson(path).ok());
-  EXPECT_TRUE(JsonValidator(ReadFile(path)).Valid());
+  EXPECT_TRUE(serve::json::Parse(ReadFile(path)).ok());
   std::filesystem::remove(path);
 }
 
@@ -288,7 +175,7 @@ TEST_F(ObservabilityTest, SpanNestingIsContainedInExport) {
   std::filesystem::remove(path);
   ASSERT_TRUE(trace::WriteJson(path).ok());
   const std::string json = ReadFile(path);
-  EXPECT_TRUE(JsonValidator(json).Valid()) << json;
+  EXPECT_TRUE(serve::json::Parse(json).ok()) << json;
   double outer_ts = 0.0, outer_dur = 0.0, inner_ts = 0.0, inner_dur = 0.0;
   ASSERT_TRUE(FindSpan(json, "test/outer", &outer_ts, &outer_dur));
   ASSERT_TRUE(FindSpan(json, "test/inner", &inner_ts, &inner_dur));
@@ -349,7 +236,7 @@ TEST_F(ObservabilityTest, RingWrapDropsOldestAndCountsExactly) {
   std::filesystem::remove(path);
   ASSERT_TRUE(trace::WriteJson(path).ok());
   const std::string json = ReadFile(path);
-  EXPECT_TRUE(JsonValidator(json).Valid());
+  EXPECT_TRUE(serve::json::Parse(json).ok());
   // Oldest-first overwrite: events 0..kExtra-1 are gone, kExtra.. survive.
   // The closing brace pins the exact arg value ("i": 99 vs "i": 990).
   EXPECT_EQ(json.find("\"i\": " + std::to_string(kExtra - 1) + "}"),
@@ -430,12 +317,12 @@ TEST_F(ObservabilityTest, TrainingRunExportsInstrumentedMetricsAndTrace) {
   ASSERT_TRUE(trace::WriteJson(trace_path).ok());
 
   const std::string metrics_json = ReadFile(metrics_path);
-  EXPECT_TRUE(JsonValidator(metrics_json).Valid());
+  EXPECT_TRUE(serve::json::Parse(metrics_json).ok());
   EXPECT_NE(metrics_json.find("trainer.pairs_trained"), std::string::npos);
   EXPECT_NE(metrics_json.find("kernels.calls."), std::string::npos);
 
   const std::string trace_json = ReadFile(trace_path);
-  EXPECT_TRUE(JsonValidator(trace_json).Valid());
+  EXPECT_TRUE(serve::json::Parse(trace_json).ok());
   for (const char* span :
        {"trainer/run", "trainer/epoch", "trainer/step", "trainer/evaluate",
         "core/batch_forward", "kernels/dispatch", "threadpool/queue_wait",
@@ -528,7 +415,8 @@ TEST_F(ObservabilityTest, CountingShimForwardsBitIdenticallyAndCounts) {
       "dot", "sum", "centered_sum_sq", "max", "add", "mul", "scale",
       "add_scalar", "axpy", "mul_add", "matmul_block_axpy",
       "matmul_block_dot", "exp_sub_sum", "gelu", "gelu_backward",
-      "softmax_backward_row", "layer_norm_forward_row", "transpose2d"};
+      "softmax_backward_row", "layer_norm_forward_row", "transpose2d",
+      "multi_head_attention"};
   if (int8::ActiveMode() == int8::Mode::kOn) {
     used.insert(used.end(),
                 {"min_max", "int8_quantize_row", "int8_gemm_dequant"});

@@ -16,7 +16,7 @@
 //                         the run                            (default 250)
 //   --senders M           client threads                     (default 4)
 //   --batch-max N         batcher max batch                  (default 16)
-//   --batch-deadline-us N batcher deadline                   (default 2000)
+//   --batch-deadline-us N batcher deadline cap               (default 2000)
 //   --http-workers N      service handler threads            (default 4)
 //   --int8                score through the quantized inference GEMM path
 //                         (DESIGN.md §14); overrides EMBA_INT8
@@ -294,16 +294,15 @@ int main(int argc, char** argv) {
   std::printf("  e2e latency from scheduled arrival: p50=%.2fms p95=%.2fms "
               "p99=%.2fms (target p99 <= %.0fms)\n",
               p50, p95, p99, opt.p99_target_ms);
-  std::printf("  batches formed: %llu (full fires %llu, deadline fires %llu, "
-              "drain fires %llu)\n",
-              static_cast<unsigned long long>(
-                  metrics::GetCounter("serve.batches_total").Value()),
-              static_cast<unsigned long long>(
-                  metrics::GetCounter("serve.batch_full_fires").Value()),
-              static_cast<unsigned long long>(
-                  metrics::GetCounter("serve.batch_deadline_fires").Value()),
-              static_cast<unsigned long long>(
-                  metrics::GetCounter("serve.batch_drain_fires").Value()));
+  const auto count = [](const char* name) {
+    return static_cast<unsigned long long>(metrics::GetCounter(name).Value());
+  };
+  std::printf("  batches formed: %llu (full fires %llu, idle fires %llu, "
+              "deadline fires %llu, drain fires %llu)\n",
+              count("serve.batches_total"), count("serve.batch_full_fires"),
+              count("serve.batch_idle_fires"),
+              count("serve.batch_deadline_fires"),
+              count("serve.batch_drain_fires"));
   if (opt.rtrace) {
     // Server-side stage attribution next to the client-side e2e: where the
     // time went inside the process, p50/p99 per stage.

@@ -51,17 +51,55 @@ DynamicBatcher::DynamicBatcher(ScoreFn score_fn, BatcherConfig config)
 
 DynamicBatcher::~DynamicBatcher() { Drain(); }
 
+DynamicBatcher::InFlight::InFlight(InFlight&& other) noexcept
+    : batcher_(std::exchange(other.batcher_, nullptr)) {}
+
+DynamicBatcher::InFlight& DynamicBatcher::InFlight::operator=(
+    InFlight&& other) noexcept {
+  if (this != &other) {
+    InFlight released(std::move(*this));
+    batcher_ = std::exchange(other.batcher_, nullptr);
+  }
+  return *this;
+}
+
+DynamicBatcher::InFlight::~InFlight() {
+  if (batcher_ == nullptr) return;
+  DynamicBatcher* batcher = batcher_;
+  bool idle;
+  {
+    std::lock_guard<std::mutex> lock(batcher->mutex_);
+    idle = batcher->ReleaseLocked(*this);
+  }
+  // The last handler answered without parking: a parked batch may fire.
+  if (idle) batcher->cv_.notify_one();
+}
+
+bool DynamicBatcher::ReleaseLocked(InFlight& token) {
+  if (token.batcher_ == nullptr) return false;
+  EMBA_CHECK_MSG(token.batcher_ == this, "InFlight token of another batcher");
+  token.batcher_ = nullptr;
+  return --in_flight_ == 0;
+}
+
+DynamicBatcher::InFlight DynamicBatcher::BeginRequest() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++in_flight_;
+  return InFlight(this);
+}
+
 Result<std::future<double>> DynamicBatcher::Submit(
-    core::PairSample sample, std::shared_ptr<rtrace::RequestContext> ctx) {
+    InFlight token, core::PairSample sample,
+    std::shared_ptr<rtrace::RequestContext> ctx) {
   std::vector<core::PairSample> group;
   group.push_back(std::move(sample));
-  auto futures = SubmitGroup(std::move(group), std::move(ctx));
+  auto futures = SubmitGroup(std::move(token), std::move(group), std::move(ctx));
   if (!futures.ok()) return futures.status();
   return std::move((*futures)[0]);
 }
 
 Result<std::vector<std::future<double>>> DynamicBatcher::SubmitGroup(
-    std::vector<core::PairSample> samples,
+    InFlight token, std::vector<core::PairSample> samples,
     std::shared_ptr<rtrace::RequestContext> ctx) {
   static metrics::Counter& admitted =
       metrics::GetCounter("serve.requests_admitted");
@@ -75,6 +113,9 @@ Result<std::vector<std::future<double>>> DynamicBatcher::SubmitGroup(
   futures.reserve(samples.size());
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    // Parking or rejecting, this handler can no longer join a batch. A
+    // rejection that leaves the batcher idle wakes it for the parked rest.
+    if (ReleaseLocked(token) && !queue_.empty()) cv_.notify_one();
     if (draining_) {
       rejected_draining.Increment(samples.size());
       return Status::Unavailable("matcher is draining");
@@ -125,6 +166,8 @@ void DynamicBatcher::Loop() {
       metrics::GetCounter("serve.batch_deadline_fires");
   static metrics::Counter& drain_fires =
       metrics::GetCounter("serve.batch_drain_fires");
+  static metrics::Counter& idle_fires =
+      metrics::GetCounter("serve.batch_idle_fires");
 
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -134,16 +177,19 @@ void DynamicBatcher::Loop() {
       continue;
     }
     // Batch formation: the window opens when the oldest parked request
-    // arrived and closes at batch-full, deadline, or drain — whichever
-    // comes first.
+    // arrived and closes at batch-full, drain, idle (no handler holds an
+    // InFlight token, so no one else can join) or the deadline cap —
+    // whichever comes first.
     const auto deadline =
         queue_.front().enqueue +
         std::chrono::microseconds(config_.batch_deadline_us);
     cv_.wait_until(lock, deadline, [this] {
-      return queue_.size() >= config_.max_batch || draining_;
+      return queue_.size() >= config_.max_batch || draining_ ||
+             in_flight_ == 0;
     });
 
     const bool batch_full = queue_.size() >= config_.max_batch;
+    const bool idle = in_flight_ == 0;
     const size_t n = std::min(queue_.size(), config_.max_batch);
     std::vector<Pending> batch;
     batch.reserve(n);
@@ -164,6 +210,9 @@ void DynamicBatcher::Loop() {
     } else if (draining_now) {
       drain_fires.Increment();
       fire_reason = "drain";
+    } else if (idle) {
+      idle_fires.Increment();
+      fire_reason = "idle";
     } else {
       deadline_fires.Increment();
       fire_reason = "deadline";

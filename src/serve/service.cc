@@ -189,16 +189,23 @@ http::HttpResponse MatchService::Handle(const http::HttpRequest& request) {
       resp.extra_headers.emplace_back("Allow", "POST");
       return resp;
     }
-    return request.path == "/match" ? HandleMatch(request)
-                                    : HandleDedupe(request);
+    // From here until it parks in the batcher or answers, this handler may
+    // still join a batch: its token keeps a partial batch waiting for it.
+    DynamicBatcher::InFlight token = batcher_->BeginRequest();
+    return request.path == "/match" ? HandleMatch(request, std::move(token))
+                                    : HandleDedupe(request, std::move(token));
   }
   // Everything else is the observability surface (/, /metrics,
   // /metrics.json, /healthz, /tracez, /profilez, 404).
   return HandleObservabilityRequest(request);
 }
 
-http::HttpResponse MatchService::HandleMatch(
-    const http::HttpRequest& request) {
+DynamicBatcher::InFlight MatchService::HoldBatchOpenForTest() {
+  return batcher_->BeginRequest();
+}
+
+http::HttpResponse MatchService::HandleMatch(const http::HttpRequest& request,
+                                             DynamicBatcher::InFlight token) {
   static metrics::Counter& match_requests =
       metrics::GetCounter("serve.match.requests");
   static metrics::Counter& match_rejected =
@@ -237,7 +244,8 @@ http::HttpResponse MatchService::HandleMatch(
     return RejectionResponse(Status::Unavailable("matcher is draining"),
                              config_.batcher);
   }
-  auto future = batcher_->Submit(std::move(sample), request.trace);
+  auto future =
+      batcher_->Submit(std::move(token), std::move(sample), request.trace);
   if (!future.ok()) {
     match_rejected.Increment();
     return RejectionResponse(future.status(), config_.batcher);
@@ -270,7 +278,7 @@ http::HttpResponse MatchService::HandleMatch(
 }
 
 http::HttpResponse MatchService::HandleDedupe(
-    const http::HttpRequest& request) {
+    const http::HttpRequest& request, DynamicBatcher::InFlight token) {
   static metrics::Counter& dedupe_requests =
       metrics::GetCounter("serve.dedupe.requests");
   static metrics::Counter& dedupe_rejected =
@@ -327,7 +335,8 @@ http::HttpResponse MatchService::HandleDedupe(
       return RejectionResponse(Status::Unavailable("matcher is draining"),
                                config_.batcher);
     }
-    auto futures = batcher_->SubmitGroup(candidates.samples, request.trace);
+    auto futures = batcher_->SubmitGroup(std::move(token), candidates.samples,
+                                         request.trace);
     if (!futures.ok()) {
       dedupe_rejected.Increment();
       return RejectionResponse(futures.status(), config_.batcher);

@@ -35,10 +35,15 @@ namespace emba {
 namespace serve {
 
 struct ServeConfig {
+  /// Batch formation (DESIGN.md §12): a batch fires when full, on drain, or
+  /// as soon as no handler can still join it; `batch_deadline_us` only caps
+  /// the wait for a handler slow to park.
   BatcherConfig batcher;
-  /// HTTP handler threads. Must be > 1 for cross-request batching to form
-  /// batches (requests must be in flight simultaneously) and for /healthz
-  /// to answer while /match requests are parked.
+  /// HTTP handler threads. Each runs at most one /match or /dedupe handler
+  /// at a time, so this bounds how many requests can share a batch (one
+  /// /dedupe group can fill it alone); with 1 worker every request is
+  /// scored alone, at once. Must be > 1 for /healthz to answer while a
+  /// request waits on its batch.
   int http_workers = 4;
   /// Accepted-connection queue bound (http::HttpServerOptions::max_pending).
   size_t max_pending = 64;
@@ -83,9 +88,20 @@ class MatchService {
   /// tests can exercise handler logic without sockets.
   http::HttpResponse Handle(const http::HttpRequest& request);
 
+  /// Takes the batcher's in-flight token as a /match or /dedupe handler
+  /// does on entry. While the caller holds it, a partial batch cannot fire
+  /// idle — only full, on drain or at the deadline cap — so tests can force
+  /// each fire path without depending on timing. Destroy it before the
+  /// service.
+  DynamicBatcher::InFlight HoldBatchOpenForTest();
+
  private:
-  http::HttpResponse HandleMatch(const http::HttpRequest& request);
-  http::HttpResponse HandleDedupe(const http::HttpRequest& request);
+  // `token` was taken on entry; it is consumed when the request parks in
+  // the batcher and released by its destructor on every other path.
+  http::HttpResponse HandleMatch(const http::HttpRequest& request,
+                                 DynamicBatcher::InFlight token);
+  http::HttpResponse HandleDedupe(const http::HttpRequest& request,
+                                  DynamicBatcher::InFlight token);
 
   core::EmModel* model_;
   const core::EncodedDataset* encoding_;

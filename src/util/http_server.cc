@@ -1,6 +1,7 @@
 #include "util/http_server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -20,8 +21,6 @@ namespace emba {
 namespace http {
 
 namespace {
-
-constexpr int kPollTimeoutMs = 250;  // stop-flag re-check cadence
 
 const char* StatusText(int status) {
   switch (status) {
@@ -151,6 +150,11 @@ Status HttpServer::Start(int port) {
     close(fd);
     return Status::IOError("listen(): " + err);
   }
+  if (pipe2(wake_fds_, O_CLOEXEC) != 0) {
+    const std::string err = std::strerror(errno);
+    close(fd);
+    return Status::IOError("pipe2(): " + err);
+  }
   // Resolve port 0 to the kernel-assigned ephemeral port (tests rely on
   // this to avoid port collisions).
   sockaddr_in bound{};
@@ -162,7 +166,6 @@ Status HttpServer::Start(int port) {
   }
 
   listen_fd_ = fd;
-  stop_requested_.store(false, std::memory_order_release);
   workers_stop_ = false;
   running_.store(true, std::memory_order_release);
   for (int w = 0; w < options_.num_workers; ++w) {
@@ -176,7 +179,11 @@ void HttpServer::Stop() {
   if (!running_.load(std::memory_order_acquire) && !listener_.joinable()) {
     return;
   }
-  stop_requested_.store(true, std::memory_order_release);
+  if (wake_fds_[1] >= 0) {
+    const char byte = 0;
+    while (write(wake_fds_[1], &byte, 1) < 0 && errno == EINTR) {
+    }
+  }
   if (listener_.joinable()) listener_.join();
   // Workers drain connections the listener already accepted (each one is a
   // live peer owed an answer), then exit; the pending queue is bounded so
@@ -190,26 +197,31 @@ void HttpServer::Stop() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  if (listen_fd_ >= 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
+  for (int* fd : {&listen_fd_, &wake_fds_[0], &wake_fds_[1]}) {
+    if (*fd >= 0) {
+      close(*fd);
+      *fd = -1;
+    }
   }
   running_.store(false, std::memory_order_release);
 }
 
 void HttpServer::AcceptLoop() {
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = poll(&pfd, 1, kPollTimeoutMs);
+  for (;;) {
+    pollfd pfds[2] = {};
+    pfds[0].fd = listen_fd_;
+    pfds[0].events = POLLIN;
+    pfds[1].fd = wake_fds_[0];
+    pfds[1].events = POLLIN;
+    const int ready = poll(pfds, 2, /*timeout=*/-1);
     if (ready < 0) {
       if (errno == EINTR) continue;
       EMBA_LOG(WARN) << "http server poll() failed: " << std::strerror(errno)
                      << "; stopping";
       break;
     }
-    if (ready == 0 || (pfd.revents & POLLIN) == 0) continue;
+    if (pfds[1].revents != 0) break;  // Stop() woke us
+    if ((pfds[0].revents & POLLIN) == 0) continue;
     const int client = accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
     SetSocketTimeouts(client);

@@ -29,9 +29,11 @@
 // a wedged connection. GET and POST only, no keep-alive (Connection:
 // close), short socket timeouts so a stuck peer can't hold a slot forever.
 //
-// Shutdown is clean and prompt: the accept loop polls with a ~250 ms
-// timeout and re-checks a stop flag; Stop() joins the listener, lets the
-// workers finish any already-accepted connections, and closes everything.
+// Shutdown is clean and prompt: the accept loop polls the listening socket
+// together with the read end of a wake pipe, without a timeout; Stop()
+// writes one byte to the pipe, joins the listener (at once, unless it is
+// handling a request inline), lets the workers finish any already-accepted
+// connections, and closes everything.
 #pragma once
 
 #include <atomic>
@@ -151,9 +153,10 @@ class HttpServer {
   Handler handler_;
   HttpServerOptions options_;
   int listen_fd_ = -1;
+  /// Self-pipe: Stop() writes to [1] to wake the listener's poll() on [0].
+  int wake_fds_[2] = {-1, -1};
   int port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stop_requested_{false};
   std::atomic<int> open_connections_{0};
   std::atomic<uint64_t> refused_connections_{0};
   std::thread listener_;

@@ -2,6 +2,7 @@
 
 #include <cxxabi.h>
 #include <execinfo.h>
+#include <sched.h>
 #include <signal.h>
 #include <sys/time.h>
 #include <time.h>
@@ -37,16 +38,27 @@ Sample g_samples[kMaxSamples];
 std::atomic<int> g_claim_index{0};
 std::atomic<bool> g_collecting{false};
 std::atomic<bool> g_profile_active{false};
+// Signal handlers currently running. Each enters with an increment before
+// it reads g_collecting and leaves with a release decrement after its last
+// write to a slot, so once the collector has cleared g_collecting and then
+// loads zero here (an acquire), every slot it reads is complete. All four
+// accesses of the store/load pairs are seq_cst, which rules out a handler
+// that saw g_collecting set but whose increment the collector missed.
+std::atomic<int> g_handlers_in_flight{0};
 
 // Everything here must be async-signal-safe. backtrace() allocates on its
 // *first* call (lazy libgcc init), so CollectProfile pre-warms it outside
 // the handler; subsequent calls only walk the stack.
 void ProfileSignalHandler(int /*signum*/) {
-  if (!g_collecting.load(std::memory_order_relaxed)) return;
-  const int idx = g_claim_index.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= kMaxSamples) return;
-  Sample& s = g_samples[idx];
-  s.depth = backtrace(s.frames, kMaxFrames);
+  g_handlers_in_flight.fetch_add(1, std::memory_order_seq_cst);
+  if (g_collecting.load(std::memory_order_seq_cst)) {
+    const int idx = g_claim_index.fetch_add(1, std::memory_order_relaxed);
+    if (idx < kMaxSamples) {
+      Sample& s = g_samples[idx];
+      s.depth = backtrace(s.frames, kMaxFrames);
+    }
+  }
+  g_handlers_in_flight.fetch_sub(1, std::memory_order_release);
 }
 
 void PrewarmBacktrace() {
@@ -164,11 +176,15 @@ Result<std::string> CollectProfile(double seconds, ProfileClock clock,
 
   SleepFor(seconds);
 
-  // Disarm, quiesce, restore. A signal already in flight after the disarm
-  // sees g_collecting == false and records nothing.
+  // Disarm, quiesce, restore. A signal delivered after g_collecting clears
+  // records nothing; a handler that saw it set is still counted in
+  // g_handlers_in_flight, so wait for those to finish writing their slots.
   itimerval off{};
   setitimer(which, &off, nullptr);
-  g_collecting.store(false, std::memory_order_release);
+  g_collecting.store(false, std::memory_order_seq_cst);
+  while (g_handlers_in_flight.load(std::memory_order_seq_cst) != 0) {
+    sched_yield();
+  }
   sigaction(signum, &old_action, nullptr);
 
   const int claimed = g_claim_index.load(std::memory_order_relaxed);

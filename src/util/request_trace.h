@@ -79,7 +79,8 @@ const char* StageName(Stage stage);  ///< "parse", "queue_wait", ...
 struct BatchSpan {
   uint64_t batch_id = 0;  ///< monotonic, 1-based, process-global
   int size = 0;
-  const char* fire_reason = "";  ///< "full" | "deadline" | "drain" (literal)
+  /// "full" | "drain" | "idle" | "deadline" (a literal; DESIGN.md §12)
+  const char* fire_reason = "";
   bool int8_active = false;
   /// Trace ids of every traced request in the batch. Filled before the span
   /// is linked into any context (publication via the context mutex), so

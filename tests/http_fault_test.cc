@@ -5,9 +5,10 @@
 // (413) and header blocks (431), malformed request lines and headers (400),
 // unsupported methods (405), bad Content-Length (400), mid-request
 // disconnects, Expect: 100-continue, worker-pool admission (503 +
-// RefusedConnections when the pending queue is full), and an access-log
-// line that stays valid JSON when the path holds a control byte. Runs under
-// the ASan+UBSan CI job like every tier-1 test.
+// RefusedConnections when the pending queue is full), an access-log line
+// that stays valid JSON when the path holds a control byte, and a Stop()
+// that returns at once. Runs under the ASan+UBSan CI job like every tier-1
+// test.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -393,6 +394,30 @@ TEST_F(HttpFaultTest, WorkerPoolSurvivesMixedGoodAndHostileBurst) {
   EXPECT_EQ(client_errors.load(), 9);
   EXPECT_EQ(failures.load(), 0);
   ExpectNoOpenConnections(*server_);
+}
+
+// ---------------------------------------------------------------------------
+// Shutdown: Stop() wakes the listener at once, in both modes, instead of
+// waiting for its poll() to time out.
+
+TEST_F(HttpFaultTest, StopOnIdleServerReturnsPromptly) {
+  for (int workers : {0, 4}) {
+    http::HttpServerOptions options;
+    options.num_workers = workers;
+    StartServer(options);
+    // One request first, so the listener is back in poll() when Stop runs.
+    EXPECT_EQ(StatusOf(RoundTripPieces(port_, {"GET /warm HTTP/1.1\r\n\r\n"},
+                                       0)),
+              200);
+    ExpectNoOpenConnections(*server_);
+    const auto start = std::chrono::steady_clock::now();
+    server_->Stop();
+    const double stop_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(stop_ms, 100.0) << workers << " workers";
+    EXPECT_FALSE(server_->Running());
+  }
 }
 
 }  // namespace

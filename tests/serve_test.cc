@@ -1,12 +1,17 @@
 // Tier-1 tests for the online matching service (src/serve/): the
-// DynamicBatcher's formation paths (batch-full fire, deadline fire, drain
-// flush), its admission control (queue-overflow 429, draining 503,
-// all-or-nothing group admission), the serving layer's core equivalence
+// DynamicBatcher's formation paths (batch-full fire, idle fire, deadline
+// fire, drain flush), its admission control (queue-overflow 429, draining
+// 503, all-or-nothing group admission), the serving layer's core equivalence
 // contract — a score obtained through any dynamically formed cross-request
 // batch is bit-identical to the standalone single-pair forward — plus the
 // HTTP surface: /match and /dedupe against offline references, 4xx mapping
 // for malformed bodies, Retry-After on overflow, the SIGTERM drain
 // protocol, and /metrics consistency under concurrent scoring.
+//
+// No test depends on timing to pick a fire path: a batch is held open by an
+// InFlight token the test keeps (DynamicBatcher::BeginRequest, or
+// MatchService::HoldBatchOpenForTest), so it can only fire full, on drain
+// or at the deadline cap until the test lets go.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -238,6 +243,28 @@ struct RecordingScorer {
 
 constexpr int64_t kNeverUs = 60'000'000;  // deadline that won't fire in-test
 
+/// Polls `done` every millisecond for up to 10 s; true once it holds.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  for (int spin = 0; spin < 10'000; ++spin) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// True when `f` resolves within 10 s: far inside the 60 s deadline that
+/// holds a batch in these tests, so false means the batch never fired idle.
+bool ResolvesPromptly(std::future<double>& f) {
+  return f.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+}
+
 TEST(DynamicBatcherTest, BatchFullFireFormsOneBatch) {
   metrics::Counter& full_fires = metrics::GetCounter("serve.batch_full_fires");
   const uint64_t full_before = full_fires.Value();
@@ -246,13 +273,14 @@ TEST(DynamicBatcherTest, BatchFullFireFormsOneBatch) {
   config.max_batch = 4;
   config.batch_deadline_us = kNeverUs;
   serve::DynamicBatcher batcher(scorer.Fn(), config);
+  // A fifth handler that never parks: only the batch-full fire can score.
+  serve::DynamicBatcher::InFlight straggler = batcher.BeginRequest();
   std::vector<std::future<double>> futures;
   for (int i = 0; i < 4; ++i) {
-    auto f = batcher.Submit(SampleWithId(i));
+    auto f = batcher.Submit(batcher.BeginRequest(), SampleWithId(i));
     ASSERT_TRUE(f.ok()) << f.status().ToString();
     futures.push_back(std::move(*f));
   }
-  // The deadline is far away, so resolution proves the batch-full fire.
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(futures[static_cast<size_t>(i)].get(), i * 10.0);
   }
@@ -264,6 +292,84 @@ TEST(DynamicBatcherTest, BatchFullFireFormsOneBatch) {
   EXPECT_GE(full_fires.Value(), full_before + 1);
 }
 
+TEST(DynamicBatcherTest, IdleFireScoresLoneRequestAtOnce) {
+  metrics::Counter& idle_fires = metrics::GetCounter("serve.batch_idle_fires");
+  const uint64_t before = idle_fires.Value();
+  RecordingScorer scorer;
+  serve::BatcherConfig config;
+  config.max_batch = 64;  // can never fill
+  config.batch_deadline_us = kNeverUs;
+  serve::DynamicBatcher batcher(scorer.Fn(), config);
+  const auto start = std::chrono::steady_clock::now();
+  auto f = batcher.Submit(batcher.BeginRequest(), SampleWithId(7));
+  ASSERT_TRUE(f.ok());
+  // No other handler holds a token, so no one can join: fire without
+  // waiting for the (60 s) deadline.
+  ASSERT_TRUE(ResolvesPromptly(*f));
+  EXPECT_EQ(f->get(), 70.0);
+  EXPECT_LT(SecondsSince(start), 10.0);
+  EXPECT_GE(idle_fires.Value(), before + 1);
+}
+
+TEST(DynamicBatcherTest, FourTokensAndFourSubmitsFormOneIdleBatch) {
+  metrics::Counter& idle_fires = metrics::GetCounter("serve.batch_idle_fires");
+  const uint64_t before = idle_fires.Value();
+  RecordingScorer scorer;
+  serve::BatcherConfig config;
+  config.max_batch = 16;
+  config.batch_deadline_us = kNeverUs;
+  serve::DynamicBatcher batcher(scorer.Fn(), config);
+  std::vector<serve::DynamicBatcher::InFlight> tokens;
+  for (int i = 0; i < 4; ++i) tokens.push_back(batcher.BeginRequest());
+  std::vector<std::future<double>> futures;
+  for (int i = 0; i < 4; ++i) {
+    // Until the last token is consumed a handler may still join, so
+    // nothing fires before all four are parked.
+    EXPECT_EQ(batcher.QueueDepth(), static_cast<size_t>(i));
+    auto f = batcher.Submit(std::move(tokens[static_cast<size_t>(i)]),
+                            SampleWithId(i));
+    ASSERT_TRUE(f.ok());
+    futures.push_back(std::move(*f));
+  }
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(ResolvesPromptly(futures[static_cast<size_t>(i)]));
+    EXPECT_EQ(futures[static_cast<size_t>(i)].get(), i * 10.0);
+  }
+  {
+    std::lock_guard<std::mutex> lock(scorer.mutex);
+    ASSERT_EQ(scorer.batch_sizes.size(), 1u);
+    EXPECT_EQ(scorer.batch_sizes[0], 4u);
+  }
+  EXPECT_EQ(idle_fires.Value(), before + 1);
+}
+
+TEST(DynamicBatcherTest, ReleasedTokenLetsParkedBatchFire) {
+  RecordingScorer scorer;
+  serve::BatcherConfig config;
+  config.max_batch = 16;
+  config.batch_deadline_us = kNeverUs;
+  serve::DynamicBatcher batcher(scorer.Fn(), config);
+  serve::DynamicBatcher::InFlight unparked = batcher.BeginRequest();
+  auto f = batcher.Submit(batcher.BeginRequest(), SampleWithId(3));
+  ASSERT_TRUE(f.ok());
+  EXPECT_EQ(f->wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout);
+  // The other handler answers without parking: dropping its token
+  // leaves no one who could join, and the parked batch fires.
+  unparked = serve::DynamicBatcher::InFlight();
+  ASSERT_TRUE(ResolvesPromptly(*f));
+  EXPECT_EQ(f->get(), 30.0);
+  // An empty group parks nothing and releases its token the same way.
+  serve::DynamicBatcher::InFlight holder = batcher.BeginRequest();
+  auto g = batcher.Submit(batcher.BeginRequest(), SampleWithId(4));
+  ASSERT_TRUE(g.ok());
+  auto empty = batcher.SubmitGroup(std::move(holder), {});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+  ASSERT_TRUE(ResolvesPromptly(*g));
+  EXPECT_EQ(g->get(), 40.0);
+}
+
 TEST(DynamicBatcherTest, DeadlineFireScoresSingleStraggler) {
   metrics::Counter& deadline_fires =
       metrics::GetCounter("serve.batch_deadline_fires");
@@ -273,7 +379,9 @@ TEST(DynamicBatcherTest, DeadlineFireScoresSingleStraggler) {
   config.max_batch = 64;  // can never fill
   config.batch_deadline_us = 2000;
   serve::DynamicBatcher batcher(scorer.Fn(), config);
-  auto f = batcher.Submit(SampleWithId(7));
+  // A handler that never parks keeps the batch from firing idle.
+  serve::DynamicBatcher::InFlight slow = batcher.BeginRequest();
+  auto f = batcher.Submit(batcher.BeginRequest(), SampleWithId(7));
   ASSERT_TRUE(f.ok());
   EXPECT_EQ(f->get(), 70.0);  // resolved without filling: deadline fired
   {
@@ -293,8 +401,9 @@ TEST(DynamicBatcherTest, DrainFlushesParkedRequests) {
   config.max_batch = 16;
   config.batch_deadline_us = kNeverUs;
   serve::DynamicBatcher batcher(scorer.Fn(), config);
-  auto f1 = batcher.Submit(SampleWithId(1));
-  auto f2 = batcher.Submit(SampleWithId(2));
+  serve::DynamicBatcher::InFlight open = batcher.BeginRequest();
+  auto f1 = batcher.Submit(batcher.BeginRequest(), SampleWithId(1));
+  auto f2 = batcher.Submit(batcher.BeginRequest(), SampleWithId(2));
   ASSERT_TRUE(f1.ok() && f2.ok());
   batcher.Drain();
   // Accepted requests are never dropped: drain scored them for real.
@@ -315,17 +424,23 @@ TEST(DynamicBatcherTest, QueueOverflowRejectsResourceExhausted) {
   config.batch_deadline_us = kNeverUs;
   config.max_queue = 2;
   serve::DynamicBatcher batcher(scorer.Fn(), config);
-  auto f1 = batcher.Submit(SampleWithId(1));
-  auto f2 = batcher.Submit(SampleWithId(2));
+  serve::DynamicBatcher::InFlight open = batcher.BeginRequest();
+  auto f1 = batcher.Submit(batcher.BeginRequest(), SampleWithId(1));
+  auto f2 = batcher.Submit(batcher.BeginRequest(), SampleWithId(2));
   ASSERT_TRUE(f1.ok() && f2.ok());
   EXPECT_EQ(batcher.QueueDepth(), 2u);
-  auto rejected = batcher.Submit(SampleWithId(3));
+  auto rejected = batcher.Submit(batcher.BeginRequest(), SampleWithId(3));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  // The rejection did not disturb the parked requests.
-  batcher.Drain();
+  // The rejection did not disturb the parked requests, and it consumed
+  // its token: once `open` goes, the parked pair fires idle.
+  open = serve::DynamicBatcher::InFlight();
+  ASSERT_TRUE(ResolvesPromptly(*f1) && ResolvesPromptly(*f2));
   EXPECT_EQ(f1->get(), 10.0);
   EXPECT_EQ(f2->get(), 20.0);
+  std::lock_guard<std::mutex> lock(scorer.mutex);
+  ASSERT_EQ(scorer.batch_sizes.size(), 1u);
+  EXPECT_EQ(scorer.batch_sizes[0], 2u);
 }
 
 TEST(DynamicBatcherTest, SubmitGroupIsAllOrNothing) {
@@ -335,16 +450,18 @@ TEST(DynamicBatcherTest, SubmitGroupIsAllOrNothing) {
   config.batch_deadline_us = kNeverUs;
   config.max_queue = 3;
   serve::DynamicBatcher batcher(scorer.Fn(), config);
-  auto f1 = batcher.Submit(SampleWithId(1));
-  auto f2 = batcher.Submit(SampleWithId(2));
+  serve::DynamicBatcher::InFlight open = batcher.BeginRequest();
+  auto f1 = batcher.Submit(batcher.BeginRequest(), SampleWithId(1));
+  auto f2 = batcher.Submit(batcher.BeginRequest(), SampleWithId(2));
   ASSERT_TRUE(f1.ok() && f2.ok());
   // 2 parked + 2 arriving > 3: the whole group bounces, nothing is parked.
-  auto rejected = batcher.SubmitGroup({SampleWithId(3), SampleWithId(4)});
+  auto rejected = batcher.SubmitGroup(batcher.BeginRequest(),
+                                      {SampleWithId(3), SampleWithId(4)});
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(batcher.QueueDepth(), 2u);
   // A group that fits is admitted whole.
-  auto group = batcher.SubmitGroup({SampleWithId(5)});
+  auto group = batcher.SubmitGroup(batcher.BeginRequest(), {SampleWithId(5)});
   ASSERT_TRUE(group.ok());
   ASSERT_EQ(group->size(), 1u);
   batcher.Drain();
@@ -355,18 +472,20 @@ TEST(DynamicBatcherTest, GroupLargerThanMaxBatchSpansBatches) {
   RecordingScorer scorer;
   serve::BatcherConfig config;
   config.max_batch = 2;
-  config.batch_deadline_us = 2000;
+  config.batch_deadline_us = kNeverUs;
   config.max_queue = 16;
   serve::DynamicBatcher batcher(scorer.Fn(), config);
   std::vector<core::PairSample> samples;
   for (int i = 0; i < 5; ++i) samples.push_back(SampleWithId(i));
-  auto futures = batcher.SubmitGroup(std::move(samples));
+  auto futures =
+      batcher.SubmitGroup(batcher.BeginRequest(), std::move(samples));
   ASSERT_TRUE(futures.ok());
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ((*futures)[static_cast<size_t>(i)].get(), i * 10.0);
   }
   std::lock_guard<std::mutex> lock(scorer.mutex);
-  // 5 samples through max_batch=2 → batches of 2, 2, 1; order preserved.
+  // 5 samples through max_batch=2 → batches of 2, 2, 1 (full, full, idle);
+  // order preserved.
   ASSERT_EQ(scorer.batch_sizes.size(), 3u);
   EXPECT_EQ(scorer.batch_sizes[0], 2u);
   EXPECT_EQ(scorer.batch_sizes[1], 2u);
@@ -377,7 +496,7 @@ TEST(DynamicBatcherTest, RejectsUnavailableAfterDrain) {
   RecordingScorer scorer;
   serve::DynamicBatcher batcher(scorer.Fn(), {});
   batcher.Drain();
-  auto rejected = batcher.Submit(SampleWithId(1));
+  auto rejected = batcher.Submit(batcher.BeginRequest(), SampleWithId(1));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
   batcher.Drain();  // idempotent
@@ -385,15 +504,17 @@ TEST(DynamicBatcherTest, RejectsUnavailableAfterDrain) {
 
 TEST(DynamicBatcherTest, ScoreFnExceptionPropagatesToEveryFuture) {
   serve::BatcherConfig config;
-  config.batch_deadline_us = 1000;
+  config.batch_deadline_us = kNeverUs;
   serve::DynamicBatcher batcher(
       [](const std::vector<core::PairSample>&) -> std::vector<double> {
         throw std::runtime_error("scorer exploded");
       },
       config);
-  auto f1 = batcher.Submit(SampleWithId(1));
-  auto f2 = batcher.Submit(SampleWithId(2));
+  serve::DynamicBatcher::InFlight open = batcher.BeginRequest();
+  auto f1 = batcher.Submit(batcher.BeginRequest(), SampleWithId(1));
+  auto f2 = batcher.Submit(batcher.BeginRequest(), SampleWithId(2));
   ASSERT_TRUE(f1.ok() && f2.ok());
+  open = serve::DynamicBatcher::InFlight();  // one idle batch of both
   EXPECT_THROW(f1->get(), std::runtime_error);
   EXPECT_THROW(f2->get(), std::runtime_error);
   // The batcher thread survived the exception and still drains cleanly.
@@ -410,12 +531,13 @@ TEST(MatchServiceTest, BatchFullFireScoresAreBitIdentical) {
 
   serve::ServeConfig config;
   config.batcher.max_batch = 3;
-  // A long deadline: the first three responses can only arrive promptly via
-  // the batch-full fire; the fourth is the straggler the deadline sweeps up.
-  config.batcher.batch_deadline_us = 1'000'000;
+  config.batcher.batch_deadline_us = kNeverUs;
   config.http_workers = 4;
   serve::MatchService service = MakeService(config);
   ASSERT_TRUE(service.Start(0).ok());
+  // While the test holds a token no batch fires idle, and the deadline is
+  // far away: the first three parked requests can only fire full.
+  serve::DynamicBatcher::InFlight hold = service.HoldBatchOpenForTest();
 
   const int kClients = 4;
   std::vector<std::string> lefts, rights;
@@ -431,6 +553,9 @@ TEST(MatchServiceTest, BatchFullFireScoresAreBitIdentical) {
       if (r.ok()) results[static_cast<size_t>(i)] = *r;
     });
   }
+  EXPECT_TRUE(WaitFor([&] { return full_fires.Value() >= full_before + 1; }));
+  // Letting go fires the fourth request, the straggler, idle.
+  hold = serve::DynamicBatcher::InFlight();
   for (auto& t : clients) t.join();
 
   for (int i = 0; i < kClients; ++i) {
@@ -460,6 +585,8 @@ TEST(MatchServiceTest, DeadlineFireScoresAreBitIdentical) {
   config.http_workers = 2;
   serve::MatchService service = MakeService(config);
   ASSERT_TRUE(service.Start(0).ok());
+  // A handler that never parks: no batch can fire idle.
+  serve::DynamicBatcher::InFlight hold = service.HoldBatchOpenForTest();
 
   for (int i = 0; i < 2; ++i) {
     const std::string left = world.catalog[static_cast<size_t>(i)].Description();
@@ -473,6 +600,95 @@ TEST(MatchServiceTest, DeadlineFireScoresAreBitIdentical) {
     EXPECT_EQ(r->headers.at("content-type"), "application/json");
   }
   EXPECT_GE(deadline_fires.Value(), before + 2);
+  service.Shutdown();
+}
+
+TEST(MatchServiceTest, LoneMatchFiresIdleWellWithinDeadline) {
+  TinyWorld& world = World();
+  metrics::Counter& idle_fires = metrics::GetCounter("serve.batch_idle_fires");
+  metrics::Counter& deadline_fires =
+      metrics::GetCounter("serve.batch_deadline_fires");
+  const uint64_t idle_before = idle_fires.Value();
+  const uint64_t deadline_before = deadline_fires.Value();
+
+  serve::ServeConfig config;
+  config.batcher.batch_deadline_us = 30'000'000;
+  config.http_workers = 4;
+  serve::MatchService service = MakeService(config);
+  ASSERT_TRUE(service.Start(0).ok());
+
+  // No other request is in flight, so no one can join this one's batch:
+  // it is scored at once instead of after the 30 s deadline.
+  const std::string left = world.catalog[3].Description();
+  const std::string right = world.catalog[5].Description();
+  const auto start = std::chrono::steady_clock::now();
+  auto r = HttpPost(service.port(), "/match", MatchBody(left, right));
+  const double elapsed_s = SecondsSince(start);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->status, 200);
+  EXPECT_LT(elapsed_s, 10.0);
+  EXPECT_EQ(JsonNumber(r->body, "match_probability"),
+            ReferenceScore(left, right));
+  EXPECT_EQ(idle_fires.Value(), idle_before + 1);
+  EXPECT_EQ(deadline_fires.Value(), deadline_before);
+  service.Shutdown();
+}
+
+// Every way a /match or /dedupe handler can answer without parking must
+// hand its token back, or a batch parked behind it would wait out the
+// deadline. A request parks behind a token the test holds; the other
+// paths run through the socketless seam; once the test lets go, the parked
+// request must fire idle long before its 60 s deadline.
+TEST(MatchServiceTest, PathsThatAnswerWithoutParkingReleaseTheirTokens) {
+  TinyWorld& world = World();
+  serve::ServeConfig config;
+  config.batcher.max_queue = 1;  // the parked request fills the queue: 429s
+  config.batcher.batch_deadline_us = kNeverUs;
+  config.http_workers = 2;
+  serve::MatchService service = MakeService(config);
+  ASSERT_TRUE(service.Start(0).ok());
+  serve::DynamicBatcher::InFlight hold = service.HoldBatchOpenForTest();
+
+  const std::string left = world.catalog[1].Description();
+  const std::string right = world.catalog[6].Description();
+  HttpResult parked;
+  std::thread client([&] {
+    auto r = HttpPost(service.port(), "/match", MatchBody(left, right));
+    if (r.ok()) parked = *r;
+  });
+  metrics::Gauge& depth = metrics::GetGauge("serve.queue_depth");
+  EXPECT_TRUE(WaitFor([&] { return depth.Value() >= 1.0; }))
+      << "the request never parked";
+
+  auto post = [&](const std::string& path, const std::string& body) {
+    http::HttpRequest request;
+    request.method = "POST";
+    request.path = path;
+    request.body = body;
+    return service.Handle(request);
+  };
+  EXPECT_EQ(post("/match", "{\"left\": ").status, 400);
+  EXPECT_EQ(post("/match", "{\"left\": \"only one side\"}").status, 400);
+  EXPECT_EQ(post("/dedupe", "{\"record\": \"x\", \"top_k\": 0}").status,
+            400);
+  const http::HttpResponse no_candidates =
+      post("/dedupe", "{\"record\": \"qzxv wjkq\"}");
+  EXPECT_EQ(no_candidates.status, 200);
+  EXPECT_EQ(JsonNumber(no_candidates.body, "candidates_considered"), 0.0);
+  EXPECT_EQ(post("/match", MatchBody(right, left)).status, 429);
+  const std::string record = world.catalog[0].Description();
+  EXPECT_EQ(post("/dedupe", "{\"record\": \"" +
+                                serve::json::Escape(record) + "\"}")
+                .status,
+            429);
+
+  const auto released = std::chrono::steady_clock::now();
+  hold = serve::DynamicBatcher::InFlight();
+  client.join();
+  EXPECT_LT(SecondsSince(released), 10.0) << "a path kept its token";
+  ASSERT_EQ(parked.status, 200);
+  EXPECT_EQ(JsonNumber(parked.body, "match_probability"),
+            ReferenceScore(left, right));
   service.Shutdown();
 }
 
@@ -529,10 +745,12 @@ TEST(MatchServiceTest, QueueOverflowAnswers429WithRetryAfter) {
   serve::ServeConfig config;
   config.batcher.max_batch = 16;
   config.batcher.max_queue = 1;
-  config.batcher.batch_deadline_us = 30'000'000;  // parks until drain
+  config.batcher.batch_deadline_us = 30'000'000;
   config.http_workers = 3;
   serve::MatchService service = MakeService(config);
   ASSERT_TRUE(service.Start(0).ok());
+  // Held through Shutdown: the first request parks until the drain.
+  serve::DynamicBatcher::InFlight hold = service.HoldBatchOpenForTest();
 
   const std::string left = world.catalog[0].Description();
   const std::string right = world.catalog[1].Description();
@@ -543,10 +761,8 @@ TEST(MatchServiceTest, QueueOverflowAnswers429WithRetryAfter) {
   });
   // Wait until the first request is parked in the batch queue.
   metrics::Gauge& depth = metrics::GetGauge("serve.queue_depth");
-  for (int spin = 0; spin < 2000 && depth.Value() < 1.0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GE(depth.Value(), 1.0) << "first request never parked";
+  ASSERT_TRUE(WaitFor([&] { return depth.Value() >= 1.0; }))
+      << "first request never parked";
 
   auto rejected = HttpPost(service.port(), "/match", MatchBody(right, left));
   ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
@@ -590,6 +806,7 @@ TEST(MatchServiceTest, RetryAfterHintsAreIntegerSecondsAndDistinct) {
   config.http_workers = 3;
   serve::MatchService service = MakeService(config);
   ASSERT_TRUE(service.Start(0).ok());
+  serve::DynamicBatcher::InFlight hold = service.HoldBatchOpenForTest();
 
   HttpResult parked;
   std::thread client([&] {
@@ -597,10 +814,8 @@ TEST(MatchServiceTest, RetryAfterHintsAreIntegerSecondsAndDistinct) {
     if (r.ok()) parked = *r;
   });
   metrics::Gauge& depth = metrics::GetGauge("serve.queue_depth");
-  for (int spin = 0; spin < 2000 && depth.Value() < 1.0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GE(depth.Value(), 1.0) << "first request never parked";
+  ASSERT_TRUE(WaitFor([&] { return depth.Value() >= 1.0; }))
+      << "first request never parked";
   auto rejected = HttpPost(service.port(), "/match", MatchBody(right, left));
   ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
   ASSERT_EQ(rejected->status, 429);
@@ -755,7 +970,7 @@ TEST(MatchServiceTest, BadRequestsAnswer4xx) {
 
 // ---------------------------------------------------------------------------
 // Request-scoped tracing acceptance: with EMBA_RTRACE semantics enabled, a
-// deadline-batched request must be retrievable by its response trace id via
+// batched request must be retrievable by its response trace id via
 // /rpcz, carry a stage breakdown that accounts for its e2e latency, link the
 // batch sibling it shared compute with, and surface as an exemplar on the
 // /metrics exposition. With tracing off, none of the machinery may engage.
@@ -766,11 +981,14 @@ TEST(MatchServiceTest, TracingAttributesStagesBatchSiblingsAndExemplars) {
   rtrace::SetEnabled(true);
 
   serve::ServeConfig config;
-  config.batcher.max_batch = 64;  // can never fill: both clients share one
-  config.batcher.batch_deadline_us = 80'000;  // deadline-fired batch
+  config.batcher.max_batch = 64;  // can never fill
+  config.batcher.batch_deadline_us = kNeverUs;
   config.http_workers = 3;
   serve::MatchService service = MakeService(config);
   ASSERT_TRUE(service.Start(0).ok());
+  // Both clients park behind a token the test holds; letting go once both
+  // have waited 80 ms fires them as one idle batch.
+  serve::DynamicBatcher::InFlight hold = service.HoldBatchOpenForTest();
 
   const std::string left = world.catalog[0].Description();
   const std::string right = world.catalog[1].Description();
@@ -784,6 +1002,10 @@ TEST(MatchServiceTest, TracingAttributesStagesBatchSiblingsAndExemplars) {
       if (r.ok()) results[i] = *r;
     });
   }
+  metrics::Gauge& depth = metrics::GetGauge("serve.queue_depth");
+  EXPECT_TRUE(WaitFor([&] { return depth.Value() >= 2.0; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  hold = serve::DynamicBatcher::InFlight();
   for (auto& t : clients) t.join();
 
   // Every traced response names its trace id in a header.
@@ -796,19 +1018,19 @@ TEST(MatchServiceTest, TracingAttributesStagesBatchSiblingsAndExemplars) {
   }
   EXPECT_NE(hex[0], hex[1]);
 
-  // The slow (deadline-parked) request is retained and retrievable by id.
+  // The slow (parked) request is retained and retrievable by id.
   rtrace::RequestRecord record;
   ASSERT_TRUE(rtrace::FindRetainedHex(hex[0], &record))
       << "trace " << hex[0] << " not retained";
   EXPECT_EQ(record.endpoint, "/match");
   EXPECT_EQ(record.status, 200);
   EXPECT_FALSE(record.in_flight);
-  // Queue wait dominates a deadline fire; e2e must reflect the ~80 ms park.
+  // Queue wait dominates; e2e must reflect the >= 80 ms park.
   EXPECT_GE(record.e2e_ms, 50.0);
 
   // The stage breakdown accounts for the request's latency: stages plus the
   // unattributed remainder reconstruct e2e, and the attributed share (the
-  // queue wait alone is ~the whole deadline) carries most of it.
+  // queue wait alone is ~the whole park) carries most of it.
   double stage_sum = 0.0;
   for (int s = 0; s < rtrace::kStageCount; ++s) stage_sum += record.stage_ms[s];
   EXPECT_LE(stage_sum, record.e2e_ms + 0.5);
@@ -817,10 +1039,10 @@ TEST(MatchServiceTest, TracingAttributesStagesBatchSiblingsAndExemplars) {
   EXPECT_GT(record.stage_ms[static_cast<int>(rtrace::Stage::kQueueWait)], 0.0);
   EXPECT_GT(record.stage_ms[static_cast<int>(rtrace::Stage::kCompute)], 0.0);
 
-  // Both requests rode one deadline-fired batch: the span links its sibling.
+  // Both requests rode one idle-fired batch: the span links its sibling.
   ASSERT_TRUE(record.has_batch);
   EXPECT_EQ(record.batch_size, 2);
-  EXPECT_EQ(record.fire_reason, "deadline");
+  EXPECT_EQ(record.fire_reason, "idle");
   ASSERT_GE(record.sibling_trace_ids.size(), 1u);
   bool sibling_found = false;
   for (const std::string& sibling : record.sibling_trace_ids) {
@@ -833,7 +1055,7 @@ TEST(MatchServiceTest, TracingAttributesStagesBatchSiblingsAndExemplars) {
   ASSERT_TRUE(by_id.ok()) << by_id.status().ToString();
   ASSERT_EQ(by_id->status, 200);
   EXPECT_NE(by_id->body.find("\"" + hex[0] + "\""), std::string::npos);
-  EXPECT_NE(by_id->body.find("\"fire_reason\": \"deadline\""),
+  EXPECT_NE(by_id->body.find("\"fire_reason\": \"idle\""),
             std::string::npos);
   auto listing = HttpGet(service.port(), "/rpcz?format=json");
   ASSERT_TRUE(listing.ok());
